@@ -22,7 +22,7 @@
 //! record must say so.
 
 use crate::{ExperimentScale, JoinDatabase};
-use dbs3::Session;
+use dbs3::{Runtime, Session};
 use dbs3_lera::{plans, JoinAlgorithm, Plan};
 
 /// Thread counts every baseline shape is measured at.
@@ -37,7 +37,7 @@ const REPETITIONS: usize = 3;
 pub struct BaselineRun {
     /// Shape identifier (`fig14_assoc_join` or `fig15_ideal_join`).
     pub shape: &'static str,
-    /// Total threads the scheduler distributed over the pools.
+    /// Worker threads of the pool (and the scheduler's thread budget).
     pub threads: usize,
     /// Best-of-N wall-clock execution time in seconds.
     pub elapsed_s: f64,
@@ -146,18 +146,21 @@ pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Measures one (plan, threads) configuration, keeping the best repetition.
-/// Results are discarded (counting stores): the baseline tracks engine
-/// overhead, and materialising a 20K-tuple `Vec` per run would only add
-/// allocator noise to the signal.
+/// Measures one (plan, threads) configuration on a pool of exactly
+/// `threads` workers, keeping the best repetition. Results are discarded
+/// (counting stores): the baseline tracks engine overhead, and
+/// materialising a 20K-tuple `Vec` per run would only add allocator noise
+/// to the signal.
 fn measure(session: &Session, plan: &Plan, shape: &'static str, threads: usize) -> BaselineRun {
+    let runtime = Runtime::new(threads).expect("baseline thread counts are positive");
     let mut best: Option<BaselineRun> = None;
     for _ in 0..REPETITIONS {
         let outcome = session
             .query(plan)
             .threads(threads)
             .discard_results()
-            .run()
+            .submit(&runtime)
+            .and_then(|handle| handle.wait())
             .expect("baseline plans execute on any thread count");
         let run = BaselineRun {
             shape,
@@ -197,7 +200,7 @@ pub fn without_reference(doc: &str) -> String {
 /// rows under `"speedups"` — one object per concurrency level under
 /// `"concurrent"` (the multi-query throughput shape of the shared
 /// [`dbs3::Runtime`] pool), one object per tier under `"repeat"` (the
-/// repeated-submit shape of the prepared-query and shared-index caches,
+/// repeated-submit shape of the prepared-query cache and fragment indexes,
 /// with cold/warm latencies and warm hit/miss counts per cache), one object
 /// per client count under `"serve"` (closed-loop latency percentiles
 /// through the `dbs3-serve` network front door, with `shed_requests`

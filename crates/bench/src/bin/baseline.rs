@@ -17,7 +17,13 @@
 //! its measurement is carried forward under `"reference"` (with any older
 //! nested reference dropped).
 //!
+//! Every thread row runs on a pool of exactly that many workers
+//! (`Runtime::new(n)`), so the 1-thread row is one worker and the derived
+//! speedups are against a true one-worker run.
+//!
 //! `--smoke` substitutes the CI-sized tiers (smoke / scaled_smoke).
+//! `--help` prints the usage and exits 0 without measuring or writing; an
+//! unknown flag or an unparsable value exits 2.
 //! `--gate` turns the run into a scaling gate: after measuring, the scaled
 //! tier's fig14 shape must reach a 4-thread speedup of at least 2.0×, and
 //! aggregate multi-query throughput must not collapse as concurrency rises
@@ -56,31 +62,66 @@ const GATE_SHAPE: &str = "fig14_assoc_join";
 /// Minimum fraction of warm repeat-submit cache lookups that must hit
 /// under `--gate`. The warm window repeats the exact plan the cold submit
 /// just cached against an unchanged catalog, so anything below this means
-/// the prepared-query or shared-index cache stopped serving repeats.
+/// the prepared-query cache or the fragment indexes stopped serving repeats.
 const GATE_MIN_WARM_HIT_RATE: f64 = 0.9;
 
-fn usage() -> ! {
-    eprintln!("usage: baseline [--smoke] [--scale paper|scaled|both] [--gate] [--out PATH]");
-    std::process::exit(2);
+const USAGE: &str = "usage: baseline [--smoke] [--scale paper|scaled|both] [--gate] [--out PATH]";
+
+/// The parsed command line.
+struct Args {
+    smoke: bool,
+    gate: bool,
+    scale: String,
+    out: String,
+}
+
+/// Parses the arguments after the program name. `Ok(None)` asks for the
+/// usage text; an unknown flag, a missing value or an unparsable value is
+/// an error.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let mut parsed = Args {
+        smoke: false,
+        gate: false,
+        scale: "both".to_string(),
+        out: "BENCH_engine.json".to_string(),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--smoke" => parsed.smoke = true,
+            "--gate" => parsed.gate = true,
+            "--scale" => match args.next().map(String::as_str) {
+                Some(s @ ("paper" | "scaled" | "both")) => parsed.scale = s.to_string(),
+                other => return Err(format!("--scale expects paper|scaled|both, got {other:?}")),
+            },
+            "--out" => match args.next() {
+                Some(path) if !path.starts_with("--") => parsed.out = path.clone(),
+                other => return Err(format!("--out expects a path, got {other:?}")),
+            },
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some(parsed))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate = args.iter().any(|a| a == "--gate");
-    let scale_arg = match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some(s @ ("paper" | "scaled" | "both")) => s.to_string(),
-            _ => usage(),
-        },
-        None => "both".to_string(),
-    };
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => usage(),
-        },
-        None => "BENCH_engine.json".to_string(),
+    let Args {
+        smoke,
+        gate,
+        scale: scale_arg,
+        out: out_path,
+    } = match parse_args(&args) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(message) => {
+            eprintln!("error: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
 
     let base_tier = if smoke {
@@ -165,14 +206,11 @@ fn main() {
     }
 
     // The repeated-submit tier: N sequential submits of one plan shape on a
-    // shared pool, cold-vs-warm, with the prepared-plan and shared-index
-    // cache counters split per window. Caches are cleared between tiers so
-    // each tier's numbers (and the single-query sweeps below) start from a
-    // bounded, empty cache rather than inheriting the previous tier's
-    // entries.
+    // shared pool, cold-vs-warm, with the prepared-plan and fragment-index
+    // counters split per window. Each tier generates its own relations, so
+    // its indexes start unbuilt and are freed with the tier's session.
     let mut repeat: Vec<RepeatRun> = Vec::new();
     for &scale in &scales {
-        dbs3::clear_caches();
         eprintln!(
             "# measuring repeated-submit baseline ({} tier, {REPEAT_SUBMITS} submits)...",
             scale.name()
@@ -194,7 +232,6 @@ fn main() {
         );
         repeat.push(r);
     }
-    dbs3::clear_caches();
 
     let mut tiers: Vec<BaselineTier> = Vec::new();
     for &scale in &scales {

@@ -17,8 +17,9 @@ pub enum ExperimentScale {
     /// The paper's cardinalities (100K–500K tuples). Used by the
     /// `experiments` binary.
     Paper,
-    /// Cardinalities divided by ~20 and coarser sweeps. Used by the
-    /// Criterion benches so `cargo bench` finishes quickly.
+    /// Cardinalities divided by ~20 and coarser sweeps. Used by
+    /// `experiments --smoke`, which CI runs, so every figure finishes in
+    /// well under a second.
     Smoke,
     /// 32× the paper's cardinalities. Paper-scale shapes finish in tens of
     /// milliseconds on modern hardware — too short for thread spawn and

@@ -10,7 +10,7 @@
 //! affinity ablation runs the real multi-threaded engine.
 
 use crate::data::{selection_session, ExperimentScale, JoinDatabase};
-use dbs3::{Backend, Session};
+use dbs3::{Backend, Runtime, Session};
 use dbs3_engine::ConsumptionStrategy;
 use dbs3_lera::{plans, JoinAlgorithm, NodeId, Plan, Predicate};
 use dbs3_model as model;
@@ -53,8 +53,7 @@ fn sim_threads(threads: usize) -> SimConfig {
 
 /// Runs `plan` on the session's simulated-KSR1 backend and returns the
 /// virtual-time report. Every figure harness funnels through this one
-/// facade call; the Criterion benches and the `experiments` binary differ
-/// only in scale.
+/// facade call; the `experiments` binary picks the scale.
 fn simulate(session: &Session, plan: &Plan, config: SimConfig) -> SimReport {
     session
         .query(plan)
@@ -720,15 +719,17 @@ pub fn ablation_affinity(scale: ExperimentScale) -> Vec<AffinityRow> {
     let session = db.session(40, 0.0);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
 
+    let threads = 4;
+    let runtime = Runtime::new(threads).expect("a 4-worker pool spawns");
     [1usize, 8, 32, 128]
         .into_iter()
         .map(|cache_size| {
-            let threads = 4;
             let outcome = session
                 .query(&plan)
                 .threads(threads)
                 .cache_size(cache_size)
-                .run()
+                .submit(&runtime)
+                .and_then(|handle| handle.wait())
                 .expect("execution succeeds");
             let metrics = outcome
                 .execution_metrics()

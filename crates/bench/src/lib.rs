@@ -9,9 +9,8 @@
 //! * the `experiments` binary (`cargo run -p dbs3-bench --release --bin
 //!   experiments -- fig15`), which prints the same series the paper plots at
 //!   paper scale;
-//! * the Criterion benches (`cargo bench -p dbs3-bench`), which run the
-//!   identical harness at a reduced "smoke" scale so a full `cargo bench`
-//!   stays tractable.
+//! * `experiments --smoke`, the identical harness at a reduced scale, which
+//!   CI runs for every figure.
 //!
 //! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! comparison of every figure.

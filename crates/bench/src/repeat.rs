@@ -1,6 +1,6 @@
 //! Repeated-submit workload: how cheap is query setup the second time?
 //!
-//! The prepared-query cache and the shared build-side hash-index cache exist
+//! The prepared-query cache and the relation-owned fragment indexes exist
 //! to make *repeat* and *concurrent* submissions of one plan shape ~free to
 //! set up: expansion, scheduling and the build-side [`HashIndex`] are paid
 //! once, every later submission skips straight to binding and probing. This
@@ -52,7 +52,7 @@ pub struct RepeatRun {
     pub warm_plan_hits: u64,
     /// See [`Self::warm_plan_hits`].
     pub warm_plan_misses: u64,
-    /// Shared-index cache hits/misses over the warm submissions.
+    /// Fragment-index hits/misses over the warm submissions.
     pub warm_index_hits: u64,
     /// See [`Self::warm_index_hits`].
     pub warm_index_misses: u64,

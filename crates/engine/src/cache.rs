@@ -1,36 +1,30 @@
-//! Process-wide query-setup caches: prepared plans and shared build-side
-//! hash indexes.
+//! Query-setup caching: the process-wide prepared-plan cache and the
+//! counters of the relation-owned fragment indexes.
 //!
 //! Under real traffic the same plan shapes repeat and concurrent queries
-//! hash-join the *same* relations, yet historically every submission
-//! re-expanded the plan, re-ran the scheduler and rebuilt every build-side
-//! [`HashIndex`] from scratch. This module makes that setup ~free on repeat:
+//! hash-join the *same* relations. Two mechanisms make that setup ~free on
+//! repeat:
 //!
 //! * the **plan cache** maps a content hash of (plan structure, scheduler
 //!   options, cost parameters) to the expanded [`ExtendedPlan`] and built
-//!   [`ExecutionSchedule`] (a [`PreparedPlan`]);
-//! * the **index cache** maps (relation, key column, fragment, relation
-//!   *generation*) to an `Arc<HashIndex>`, so concurrent and repeated
-//!   queries over one relation share a single build — the first requester
-//!   builds, later requesters either clone the `Arc` or *wait on the build
-//!   in flight* instead of duplicating it.
+//!   [`ExecutionSchedule`] (a [`PreparedPlan`]). Every [`Catalog`]
+//!   mutation stamps the touched relation with a process-wide unique
+//!   generation; an entry records the generations it was derived from, and
+//!   a lookup that finds a stale entry evicts it and reports a miss.
+//!   Capacity is bounded with LRU eviction on top;
+//! * the **fragment indexes** belong to the relation itself
+//!   ([`PartitionedRelation::fragment_index`]): each (fragment, column)
+//!   index is built by the first join that probes it and shared by every
+//!   later query over the same relation. A registered relation is
+//!   immutable, so its indexes need no key, generation or eviction; they
+//!   are freed with the relation when the catalog replaces it.
 //!
-//! **Invalidation is by generation, not by flushing**: every [`Catalog`]
-//! mutation stamps the touched relation with a process-wide unique
-//! generation, entries record the generations they were derived from, and a
-//! lookup that finds a stale entry evicts it and reports a miss. Stale
-//! entries are therefore unreachable the instant the catalog changes.
-//! Capacity is bounded with LRU eviction on top, and per-cache
-//! hit/miss/evict counters are surfaced through
-//! [`ExecutionMetrics`](crate::ExecutionMetrics) and the serve stats path.
-//!
-//! Both caches are process-wide (like [`Runtime::shared`](crate::Runtime)):
-//! generations are unique across *all* catalogs, so entries from unrelated
-//! sessions can never be confused, and cross-connection reuse in the serve
-//! layer falls out for free.
+//! [`cache_stats`] reports process-wide hit/miss/evict counters of both;
+//! each query's own index lookups are reported in its
+//! [`ExecutionMetrics::caches`](crate::ExecutionMetrics).
 //!
 //! Fault points [`faults::points::CACHE_LOOKUP`] and
-//! [`faults::points::CACHE_BUILD`] cover the new path: a lookup fault
+//! [`faults::points::CACHE_BUILD`] cover both paths: a lookup fault
 //! bypasses the cache (an uncached build is always correct — faults may
 //! fail or slow queries, never falsify them), a build fault escalates to a
 //! panic contained by the worker's `catch_unwind`.
@@ -39,23 +33,19 @@ use crate::faults::{self, points, FaultAction};
 use crate::schedule::{ExecutionSchedule, Scheduler, SchedulerOptions};
 use crate::Result;
 use dbs3_lera::{ContentHasher, CostParameters, ExtendedPlan, OperatorKind, OuterInput, Plan};
-use dbs3_storage::{Catalog, HashIndex};
+use dbs3_storage::{Catalog, HashIndex, PartitionedRelation};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Bounded capacity of the plan cache (prepared + extended entries).
+/// Bounded capacity of the plan cache.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Bounded capacity of the index cache, in fragment indexes. A paper-scale
-/// query at degree 200 uses 200 entries; 1024 comfortably holds a handful
-/// of live relations before LRU eviction starts.
-pub const INDEX_CACHE_CAPACITY: usize = 1024;
 
 /// Hit/miss/evict counters of one cache. Monotonic over the process
 /// lifetime — consumers subtract snapshots to meter a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
-    /// Lookups answered from the cache (including awaited in-flight builds).
+    /// Lookups answered without computing the value.
     pub hits: u64,
     /// Lookups that had to compute the value.
     pub misses: u64,
@@ -89,7 +79,10 @@ impl CacheCounters {
 pub struct CacheStats {
     /// Prepared-plan cache (expanded plans + schedules).
     pub plan: CacheCounters,
-    /// Shared build-side hash-index cache.
+    /// Fragment-index lookups: one per (query, join instance). A lookup
+    /// that builds the index is a miss, any other a hit. `evictions` is
+    /// always 0: an index is never evicted, it lives and dies with the
+    /// relation that owns it.
     pub index: CacheCounters,
 }
 
@@ -105,14 +98,15 @@ impl CacheStats {
 
 /// A fully expanded and scheduled plan, ready for repeated submission.
 ///
-/// Holds everything [`Runtime::submit`](crate::Runtime::submit) needs that
-/// does not depend on live query state: the plan, its extended view and the
-/// execution schedule, plus the catalog generations they were derived from
-/// (so staleness is a cheap per-relation comparison, not a re-expansion).
+/// Holds everything [`Runtime::submit_prepared`](crate::Runtime::submit_prepared)
+/// needs that does not depend on live query state: the plan, its extended
+/// view and the execution schedule, plus the catalog generations they were
+/// derived from (so staleness is a cheap per-relation comparison, not a
+/// re-expansion).
 #[derive(Debug)]
 pub struct PreparedPlan {
     plan: Plan,
-    extended: Arc<ExtendedPlan>,
+    extended: ExtendedPlan,
     schedule: ExecutionSchedule,
     generations: Vec<(String, u64)>,
     fingerprint: u64,
@@ -159,18 +153,9 @@ struct PlanKey {
     options: u64,
 }
 
-/// What a plan-cache entry holds: a bare expansion (the `submit_with` path,
-/// which receives an externally built schedule) or a full preparation.
-#[derive(Debug, Clone)]
-enum PlanValue {
-    Extended(Arc<ExtendedPlan>),
-    Prepared(Arc<PreparedPlan>),
-}
-
 #[derive(Debug)]
 struct PlanEntry {
-    generations: Vec<(String, u64)>,
-    value: PlanValue,
+    prepared: Arc<PreparedPlan>,
     last_used: u64,
 }
 
@@ -189,21 +174,16 @@ struct PlanCache {
 impl PlanCache {
     /// Looks up `key`, validating the stored generations against `catalog`.
     /// A stale entry is evicted and reported as a miss.
-    fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<PlanValue> {
+    fn lookup(&self, key: PlanKey, catalog: &Catalog) -> Option<Arc<PreparedPlan>> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(&key) {
-            Some(entry)
-                if entry
-                    .generations
-                    .iter()
-                    .all(|(name, generation)| catalog.generation(name) == Some(*generation)) =>
-            {
+            Some(entry) if entry.prepared.is_current(catalog) => {
                 entry.last_used = tick;
-                let value = entry.value.clone();
+                let prepared = Arc::clone(&entry.prepared);
                 inner.counters.hits += 1;
-                Some(value)
+                Some(prepared)
             }
             Some(_) => {
                 // Generation mismatch: the catalog mutated since this entry
@@ -221,15 +201,14 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, key: PlanKey, generations: Vec<(String, u64)>, value: PlanValue) {
+    fn insert(&self, key: PlanKey, prepared: Arc<PreparedPlan>) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
             key,
             PlanEntry {
-                generations,
-                value,
+                prepared,
                 last_used: tick,
             },
         );
@@ -248,232 +227,62 @@ impl PlanCache {
     }
 }
 
-/// Key of an index-cache entry. The relation *generation* lives in the
-/// entry, not the key, so a stale entry is found (and evicted) by the very
-/// lookup that replaces it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct IndexKey {
-    relation: String,
-    column: usize,
-    fragment: usize,
+fn plan_cache() -> &'static PlanCache {
+    static PLAN_CACHE: OnceLock<PlanCache> = OnceLock::new();
+    PLAN_CACHE.get_or_init(PlanCache::default)
 }
 
-/// Rendezvous cell for a build in flight: the builder publishes here, and
-/// concurrent requesters of the same fragment wait on it instead of
-/// duplicating the build.
-#[derive(Debug, Default)]
-struct BuildCell {
-    done: Mutex<BuildSlot>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-enum BuildSlot {
-    #[default]
-    Pending,
-    Done(Arc<HashIndex>),
-    /// The builder panicked (e.g. an injected fault). Waiters fall back to
-    /// a private build — slower, never wrong.
-    Failed,
-}
-
+/// Hit and miss counts of fragment-index lookups: process-wide in
+/// [`INDEX_LOOKUPS`], per join operator in each bound operator's tally.
 #[derive(Debug)]
-enum IndexState {
-    Ready(Arc<HashIndex>),
-    Building(Arc<BuildCell>),
+pub(crate) struct IndexTally {
+    // ordering(hits): Relaxed — a statistics counter; it publishes no other
+    // memory, and readers take it after the query completed or as an
+    // approximate process-wide total.
+    hits: AtomicU64,
+    // ordering(misses): Relaxed — same as `hits`.
+    misses: AtomicU64,
 }
 
-#[derive(Debug)]
-struct IndexEntry {
-    generation: u64,
-    state: IndexState,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct IndexCacheInner {
-    entries: HashMap<IndexKey, IndexEntry>,
-    counters: CacheCounters,
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct IndexCache {
-    inner: Mutex<IndexCacheInner>,
-}
-
-/// What the locked lookup decided; acted on *after* the cache lock is
-/// released so waiting and building never hold it.
-enum IndexPlan {
-    Hit(Arc<HashIndex>),
-    Wait(Arc<BuildCell>),
-    Build(Arc<BuildCell>),
-}
-
-impl IndexCache {
-    fn plan_for(&self, key: &IndexKey, generation: u64) -> IndexPlan {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            if entry.generation == generation {
-                entry.last_used = tick;
-                match &entry.state {
-                    IndexState::Ready(index) => {
-                        let index = Arc::clone(index);
-                        inner.counters.hits += 1;
-                        return IndexPlan::Hit(index);
-                    }
-                    IndexState::Building(cell) => {
-                        // A build in flight counts as a hit: the work is
-                        // shared, not repeated.
-                        let cell = Arc::clone(cell);
-                        inner.counters.hits += 1;
-                        return IndexPlan::Wait(cell);
-                    }
-                }
-            }
-            // Stale generation — evict whatever was there (a stale build in
-            // flight still publishes to its own cell; only the map entry
-            // goes).
-            inner.entries.remove(key);
-            inner.counters.evictions += 1;
-        }
-        inner.counters.misses += 1;
-        let cell = Arc::new(BuildCell::default());
-        inner.entries.insert(
-            key.clone(),
-            IndexEntry {
-                generation,
-                state: IndexState::Building(Arc::clone(&cell)),
-                last_used: tick,
-            },
-        );
-        IndexPlan::Build(cell)
-    }
-
-    /// Blocks until the cell's build publishes.
-    fn await_build(&self, cell: &BuildCell) -> Option<Arc<HashIndex>> {
-        let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match &*slot {
-                BuildSlot::Pending => {
-                    slot = cell.ready.wait(slot).unwrap_or_else(|p| p.into_inner());
-                }
-                BuildSlot::Done(index) => return Some(Arc::clone(index)),
-                BuildSlot::Failed => return None,
-            }
+impl IndexTally {
+    pub(crate) const fn new() -> Self {
+        IndexTally {
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
-    /// Publishes a finished build: wakes waiters, flips the map entry to
-    /// `Ready` and enforces the capacity bound.
-    fn publish(&self, key: &IndexKey, cell: &Arc<BuildCell>, index: &Arc<HashIndex>) {
-        {
-            let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-            *slot = BuildSlot::Done(Arc::clone(index));
-        }
-        cell.ready.notify_all();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            // Only flip the entry this build owns — a stale-eviction +
-            // rebuild may have replaced it with a younger generation.
-            if matches!(&entry.state, IndexState::Building(c) if Arc::ptr_eq(c, cell)) {
-                entry.state = IndexState::Ready(Arc::clone(index));
-                entry.last_used = tick;
-            }
-        }
-        // LRU capacity bound; builds in flight are never evicted.
-        while inner.entries.len() > INDEX_CACHE_CAPACITY {
-            let Some(oldest) = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| matches!(e.state, IndexState::Ready(_)))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            inner.entries.remove(&oldest);
-            inner.counters.evictions += 1;
+    fn record(&self, built: bool) {
+        if built {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Marks a build failed (builder panicked): wakes waiters with the
-    /// fallback signal and removes the map entry so the next requester
-    /// starts a fresh build.
-    fn abandon(&self, key: &IndexKey, cell: &Arc<BuildCell>) {
-        {
-            let mut slot = cell.done.lock().unwrap_or_else(|p| p.into_inner());
-            *slot = BuildSlot::Failed;
-        }
-        cell.ready.notify_all();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(entry) = inner.entries.get(key) {
-            if matches!(&entry.state, IndexState::Building(c) if Arc::ptr_eq(c, cell)) {
-                inner.entries.remove(key);
-            }
+    /// The tally as cache counters (`evictions` is always 0).
+    pub(crate) fn counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: 0,
         }
     }
 }
 
-/// Unwinds-safely publishes or abandons a build in flight.
-struct BuildGuard<'a> {
-    cache: &'a IndexCache,
-    key: &'a IndexKey,
-    cell: &'a Arc<BuildCell>,
-    armed: bool,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.key, self.cell);
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Caches {
-    plan: PlanCache,
-    index: IndexCache,
-}
-
-static CACHES: OnceLock<Caches> = OnceLock::new();
-
-fn caches() -> &'static Caches {
-    CACHES.get_or_init(Caches::default)
-}
+/// Every fragment-index lookup of the process, for [`cache_stats`].
+static INDEX_LOOKUPS: IndexTally = IndexTally::new();
 
 /// Snapshot of both caches' counters.
 pub fn cache_stats() -> CacheStats {
-    let caches = caches();
-    let plan = {
-        let inner = caches.plan.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.counters
-    };
-    let index = {
-        let inner = caches.index.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.counters
-    };
-    CacheStats { plan, index }
-}
-
-/// Drops every cached entry (counters keep accumulating). Benchmarks call
-/// this between tiers so retained scaled-tier indexes don't distort memory
-/// or accidentally warm an unrelated measurement; builds in flight still
-/// publish to their waiters.
-pub fn clear_caches() {
-    let caches = caches();
-    {
-        let mut inner = caches.plan.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.entries.clear();
-    }
-    {
-        let mut inner = caches.index.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.entries.clear();
+    let plan = plan_cache()
+        .inner
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .counters;
+    CacheStats {
+        plan,
+        index: INDEX_LOOKUPS.counters(),
     }
 }
 
@@ -500,7 +309,8 @@ fn lookup_fault_bypasses() -> bool {
 /// Build faults have nothing safe to "drop" or type as an error at this
 /// depth — escalate everything but delay to a panic, exactly like
 /// `engine.queue.push` (the worker's `catch_unwind` turns it into a typed
-/// `WorkerPanicked`; waiters fall back to private builds).
+/// `WorkerPanicked`; the relation's index slot stays empty and the next
+/// requester builds).
 fn honor_build_fault() {
     match faults::hit(points::CACHE_BUILD) {
         None => {}
@@ -514,52 +324,25 @@ fn honor_build_fault() {
     }
 }
 
-/// Fetches (or builds) the shared hash index of one relation fragment.
-///
-/// The first requester of a `(relation, column, fragment, generation)`
-/// builds; concurrent requesters block on the build in flight; later
-/// requesters clone the `Arc`. `build` runs *outside* every cache lock.
-pub fn shared_index(
-    relation: &str,
-    generation: u64,
-    column: usize,
+/// Fetches (or builds) the hash index over `column` of one fragment of
+/// `relation`, counting the lookup in `tally` and in [`cache_stats`]. A
+/// fired lookup fault builds a private index and counts nothing.
+pub(crate) fn fragment_index(
+    relation: &PartitionedRelation,
     fragment: usize,
-    build: impl FnOnce() -> HashIndex,
-) -> Arc<HashIndex> {
+    column: usize,
+    shards: usize,
+    tally: &IndexTally,
+) -> dbs3_storage::Result<Arc<HashIndex>> {
     if lookup_fault_bypasses() {
-        return Arc::new(build());
+        let tuples = relation.fragment(fragment)?.tuples();
+        return Ok(Arc::new(HashIndex::build_parallel(tuples, column, shards)));
     }
-    let key = IndexKey {
-        relation: relation.to_string(),
-        column,
-        fragment,
-    };
-    let cache = &caches().index;
-    match cache.plan_for(&key, generation) {
-        IndexPlan::Hit(index) => index,
-        IndexPlan::Wait(cell) => match cache.await_build(&cell) {
-            Some(index) => index,
-            // The shared build panicked; a private build keeps this query
-            // correct (and the failed entry is already gone from the map).
-            None => Arc::new(build()),
-        },
-        IndexPlan::Build(cell) => {
-            let mut guard = BuildGuard {
-                cache,
-                key: &key,
-                cell: &cell,
-                armed: true,
-            };
-            honor_build_fault();
-            let index = Arc::new(build());
-            guard.armed = false;
-            cache.publish(&key, &cell, &index);
-            index
-        }
-    }
+    let (index, built) = relation.fragment_index(fragment, column, shards, honor_build_fault)?;
+    tally.record(built);
+    INDEX_LOOKUPS.record(built);
+    Ok(index)
 }
-
-const EXTENDED_KIND: u64 = 0x45_58_54; // "EXT": keys bare expansions apart
 
 fn write_cost(h: &mut ContentHasher, cost: &CostParameters) {
     h.write_f64(cost.scan_tuple);
@@ -603,17 +386,8 @@ fn options_hash(options: &SchedulerOptions, cost: &CostParameters) -> u64 {
     h.finish()
 }
 
-/// Hash keying a bare expansion: plan + cost only (options don't influence
-/// the extended view).
-fn extended_hash(cost: &CostParameters) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_u64(EXTENDED_KIND);
-    write_cost(&mut h, cost);
-    h.finish()
-}
-
 /// The relations a plan reads, with their current catalog generations —
-/// what a cache entry derived from this (plan, catalog) pair depends on.
+/// what a preparation of this (plan, catalog) pair depends on.
 fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> {
     let mut names: Vec<&str> = Vec::new();
     for node in plan.nodes() {
@@ -636,34 +410,6 @@ fn referenced_generations(catalog: &Catalog, plan: &Plan) -> Vec<(String, u64)> 
         .collect()
 }
 
-/// Expands `plan` against `catalog`, answering repeats from the plan cache
-/// (the `Runtime::submit` path, where the caller supplies its own
-/// schedule).
-pub fn cached_extended(
-    catalog: &Catalog,
-    plan: &Plan,
-    cost: &CostParameters,
-) -> Result<Arc<ExtendedPlan>> {
-    let key = PlanKey {
-        plan: plan.content_hash(),
-        options: extended_hash(cost),
-    };
-    if lookup_fault_bypasses() {
-        return Ok(Arc::new(ExtendedPlan::from_plan(plan, catalog, cost)?));
-    }
-    let cache = &caches().plan;
-    if let Some(PlanValue::Extended(extended)) = cache.lookup(key, catalog) {
-        return Ok(extended);
-    }
-    let extended = Arc::new(ExtendedPlan::from_plan(plan, catalog, cost)?);
-    cache.insert(
-        key,
-        referenced_generations(catalog, plan),
-        PlanValue::Extended(Arc::clone(&extended)),
-    );
-    Ok(extended)
-}
-
 /// Prepares a plan for execution: expansion + scheduling, answered from the
 /// plan cache when this (plan, options, cost) shape was prepared before and
 /// the referenced relations are unchanged.
@@ -679,27 +425,23 @@ pub fn prepare(
         options: options_hash(options, cost),
     };
     let bypass = lookup_fault_bypasses();
-    let cache = &caches().plan;
+    let cache = plan_cache();
     if !bypass {
-        if let Some(PlanValue::Prepared(prepared)) = cache.lookup(key, catalog) {
+        if let Some(prepared) = cache.lookup(key, catalog) {
             return Ok(prepared);
         }
     }
-    // The bare expansion is shared with the `submit_with` path, so a
-    // prepare() after a submit() (or vice versa) still reuses the
-    // expensive half.
-    let extended = cached_extended(catalog, plan, cost)?;
+    let extended = ExtendedPlan::from_plan(plan, catalog, cost)?;
     let schedule = Scheduler::build(plan, &extended, options)?;
-    let generations = referenced_generations(catalog, plan);
     let prepared = Arc::new(PreparedPlan {
         plan: plan.clone(),
         extended,
         schedule,
-        generations: generations.clone(),
+        generations: referenced_generations(catalog, plan),
         fingerprint,
     });
     if !bypass {
-        cache.insert(key, generations, PlanValue::Prepared(Arc::clone(&prepared)));
+        cache.insert(key, Arc::clone(&prepared));
     }
     Ok(prepared)
 }
@@ -707,7 +449,7 @@ pub fn prepare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs3_storage::{PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator};
+    use dbs3_storage::{PartitionSpec, WisconsinConfig, WisconsinGenerator};
 
     fn relation(name: &str, cardinality: usize, degree: usize) -> PartitionedRelation {
         let rel = WisconsinGenerator::new()
@@ -723,17 +465,14 @@ mod tests {
         cat
     }
 
-    fn fig14(cat: &Catalog) -> (Plan, u64) {
-        let plan =
-            dbs3_lera::plans::assoc_join("Bprime", "A", "unique1", dbs3_lera::JoinAlgorithm::Hash);
-        let generation = cat.generation("A").unwrap();
-        (plan, generation)
+    fn fig14() -> Plan {
+        dbs3_lera::plans::assoc_join("Bprime", "A", "unique1", dbs3_lera::JoinAlgorithm::Hash)
     }
 
     #[test]
     fn prepare_hits_on_repeat_and_misses_on_new_generations() {
         let cat = catalog(600, 60, 4);
-        let (plan, _) = fig14(&cat);
+        let plan = fig14();
         let options = SchedulerOptions::default().with_total_threads(2);
         let cost = CostParameters::default();
 
@@ -759,7 +498,7 @@ mod tests {
     #[test]
     fn distinct_options_get_distinct_entries() {
         let cat = catalog(500, 50, 4);
-        let (plan, _) = fig14(&cat);
+        let plan = fig14();
         let cost = CostParameters::default();
         let two = prepare(
             &cat,
@@ -784,100 +523,43 @@ mod tests {
     }
 
     #[test]
-    fn shared_index_is_shared_and_invalidated_by_generation() {
-        let cat = catalog(400, 40, 2);
-        let rel = cat.get("A").unwrap();
-        let generation = cat.generation("A").unwrap();
-        let tuples = rel.fragments()[0].tuples();
-
-        let before = cache_stats();
-        let first = shared_index("A", generation, 0, 0, || HashIndex::build(tuples, 0));
-        let again = shared_index("A", generation, 0, 0, || HashIndex::build(tuples, 0));
-        assert!(Arc::ptr_eq(&first, &again), "one build, shared Arc");
-        let delta = cache_stats().since(&before);
-        assert!(
-            delta.index.hits >= 1 && delta.index.misses >= 1,
-            "{delta:?}"
-        );
-
-        // A different generation never sees the old build.
-        let fresh = shared_index("A", generation + 1_000_000, 0, 0, || {
-            HashIndex::build(tuples, 0)
-        });
-        assert!(!Arc::ptr_eq(&first, &fresh));
-    }
-
-    #[test]
-    fn concurrent_requesters_share_one_build() {
-        let cat = catalog(2_000, 40, 2);
-        let rel = cat.get("A").unwrap();
-        // A private generation namespace far away from real ones keeps this
-        // test independent of everything else in the process.
-        let generation = u64::MAX - 7;
-        let threads = 8;
-        let built = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let indexes: Vec<Arc<HashIndex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let rel = Arc::clone(&rel);
-                    let built = Arc::clone(&built);
-                    scope.spawn(move || {
-                        shared_index("concurrent-test", generation, 0, 0, || {
-                            // ordering: Relaxed — test-only tally of how many
-                            // closures ran; no ordering dependencies.
-                            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            // Slow the build down so contenders really race.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            HashIndex::build(rel.fragments()[0].tuples(), 0)
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            built.load(std::sync::atomic::Ordering::Relaxed),
-            1,
-            "first requester builds, everyone else waits or clones"
-        );
-        for index in &indexes {
-            assert!(Arc::ptr_eq(index, &indexes[0]));
-        }
-    }
-
-    #[test]
-    fn lru_eviction_respects_capacity() {
-        // Drive more distinct fragments than the capacity through a private
-        // relation name; the map must stay bounded.
-        let cat = catalog(200, 20, 2);
-        let rel = cat.get("A").unwrap();
-        let tuples = rel.fragments()[0].tuples();
-        let generation = u64::MAX - 99;
-        let before = cache_stats().index.evictions;
-        for fragment in 0..(INDEX_CACHE_CAPACITY + 8) {
-            let _ = shared_index("lru-test", generation, 0, fragment, || {
-                HashIndex::build(tuples, 0)
-            });
-        }
-        let inner = caches().index.inner.lock().unwrap();
-        assert!(inner.entries.len() <= INDEX_CACHE_CAPACITY);
-        drop(inner);
-        assert!(cache_stats().index.evictions > before);
-    }
-
-    #[test]
-    fn cached_extended_shares_and_respects_cost_parameters() {
+    fn cost_parameters_key_the_preparation() {
         let cat = catalog(300, 30, 2);
-        let (plan, _) = fig14(&cat);
+        let plan = fig14();
+        let options = SchedulerOptions::default().with_total_threads(2);
         let cost = CostParameters::default();
-        let a = cached_extended(&cat, &plan, &cost).unwrap();
-        let b = cached_extended(&cat, &plan, &cost).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = prepare(&cat, &plan, &options, &cost).unwrap();
         let other_cost = CostParameters {
             scan_tuple: cost.scan_tuple * 2.0,
             ..cost
         };
-        let c = cached_extended(&cat, &plan, &other_cost).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "cost parameters key the expansion");
+        let b = prepare(&cat, &plan, &options, &other_cost).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn fragment_index_counts_a_build_as_a_miss_and_a_reuse_as_a_hit() {
+        let rel = relation("A", 400, 2);
+        let tally = IndexTally::new();
+        let before = cache_stats().index;
+        let first = fragment_index(&rel, 0, 0, 1, &tally).unwrap();
+        let again = fragment_index(&rel, 0, 0, 1, &tally).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "one build, shared Arc");
+        assert_eq!(
+            tally.counters(),
+            CacheCounters {
+                hits: 1,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        let global = cache_stats().index.since(&before);
+        assert!(global.hits >= 1 && global.misses >= 1, "{global:?}");
+
+        // An equal relation built separately owns separate indexes.
+        let twin = relation("A", 400, 2);
+        let fresh = fragment_index(&twin, 0, 0, 1, &tally).unwrap();
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert_eq!(tally.counters().misses, 2);
     }
 }

@@ -32,7 +32,7 @@
 //! | `serve.read`            | request frame read (dbs3-serve)  | drop/error close the connection; delay; panic |
 //! | `serve.write`           | response frame write (dbs3-serve)| drop/error close the connection; delay; panic |
 //! | `engine.cache.lookup`   | prepared-plan / index cache lookup | error, drop → bypass the cache (compute uncached); delay; panic |
-//! | `engine.cache.build`    | shared hash-index build (cache-owned) | panic, delay (error/drop escalate to panic) |
+//! | `engine.cache.build`    | fragment hash-index build (relation-owned) | panic, delay (error/drop escalate to panic) |
 //!
 //! `engine.queue.push` escalates `error`/`drop` to a panic on purpose:
 //! silently dropping an activation would corrupt results, and the panic is
@@ -60,11 +60,12 @@ pub mod points {
     pub const SERVE_READ: &str = "serve.read";
     /// A session thread about to write a response frame (dbs3-serve).
     pub const SERVE_WRITE: &str = "serve.write";
-    /// A query-setup cache lookup (prepared plans / shared indexes). Firing
-    /// `error`/`drop` here bypasses the cache — correct, just slower.
+    /// A query-setup cache lookup (prepared plans / fragment indexes).
+    /// Firing `error`/`drop` here bypasses the cache — correct, just slower.
     pub const CACHE_LOOKUP: &str = "engine.cache.lookup";
-    /// A cache-owned shared hash-index build about to run. Everything but
-    /// `delay` escalates to a panic (waiters fall back to private builds).
+    /// A relation's fragment hash-index build about to run. Everything but
+    /// `delay` escalates to a panic (the slot stays empty; the next
+    /// requester builds).
     pub const CACHE_BUILD: &str = "engine.cache.build";
 }
 
@@ -113,7 +114,7 @@ pub const REGISTRY: &[FaultPoint] = &[
     },
     FaultPoint {
         name: points::CACHE_BUILD,
-        doc: "cache-owned shared hash-index build",
+        doc: "relation-owned fragment hash-index build",
     },
 ];
 

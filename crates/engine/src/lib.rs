@@ -9,7 +9,7 @@
 //! * every operation of the extended plan has one *instance* per fragment,
 //!   and every instance owns a FIFO **activation queue** ([`queue`]);
 //! * a **pool of threads** is allocated to the whole operation, independent
-//!   of the number of instances ([`executor`]); the queues live in shared
+//!   of the number of instances ([`runtime`]); the queues live in shared
 //!   memory so any thread of the pool can consume any activation;
 //! * queues are split into **main** and **secondary** queues per thread to
 //!   limit access conflicts: a thread first drains its main queues and only
@@ -30,8 +30,10 @@
 //!   shared pool, spawned once and parked on a condvar when idle, that
 //!   executes any number of concurrently submitted queries — each tagged
 //!   with a [`QueryId`] and observed through a [`QueryHandle`]
-//!   (`wait`/`try_outcome`/`cancel`). The blocking [`Executor`] is a thin
-//!   wrapper that runs one query on a transient pool.
+//!   (`wait`/`try_outcome`/`cancel`);
+//! * the **setup caches** ([`cache`]) reuse prepared plans across queries;
+//!   the temporary hash index of each inner fragment is owned by its
+//!   relation and built once for every query that probes it.
 //!
 //! The engine executes plans with real OS threads and produces both the
 //! query result and detailed [`metrics`] (per-thread busy time, activation
@@ -40,7 +42,6 @@
 pub mod activation;
 pub mod cache;
 pub mod error;
-pub mod executor;
 pub mod faults;
 pub mod metrics;
 pub mod operators;
@@ -51,13 +52,12 @@ pub mod strategy;
 pub mod sync;
 
 pub use activation::{Activation, TupleBatch};
-pub use cache::{cache_stats, clear_caches, prepare, CacheCounters, CacheStats, PreparedPlan};
+pub use cache::{cache_stats, prepare, CacheCounters, CacheStats, PreparedPlan};
 pub use error::EngineError;
-pub use executor::{ExecutionOutcome, Executor};
 pub use faults::{FaultAction, FaultGuard, FaultPlan, FaultRule, FaultTrigger};
 pub use metrics::{ExecutionMetrics, OperationMetrics};
 pub use queue::{ActivationQueue, TryPushError};
-pub use runtime::{QueryHandle, QueryId, Runtime};
+pub use runtime::{ExecutionOutcome, QueryHandle, QueryId, Runtime};
 pub use schedule::{
     ExecutionSchedule, OperationSchedule, Scheduler, SchedulerOptions, DEFAULT_MORSEL_ROWS,
 };

@@ -113,14 +113,14 @@ impl OperationMetrics {
 pub struct ExecutionMetrics {
     /// Wall-clock time of the parallel execution (excluding plan binding).
     pub elapsed: Duration,
-    /// Total threads spawned across all pools.
+    /// Worker threads of the pool the query ran on.
     pub total_threads: usize,
     /// Per-operation metrics, in plan order.
     pub operations: Vec<OperationMetrics>,
-    /// Query-setup cache activity attributable to this execution: the delta
-    /// of the process-wide [`CacheStats`] between submission and completion.
-    /// Under concurrent queries the counters race, so treat the numbers as
-    /// attribution, not an exact per-query ledger.
+    /// This query's own cache activity. `index` counts exactly its join
+    /// instances' fragment-index lookups, whatever else runs concurrently.
+    /// `plan` is always zero: plan lookups happen in
+    /// [`prepare`](crate::prepare), before the query exists.
     pub caches: CacheStats,
 }
 

@@ -1,6 +1,7 @@
 //! Join operators: triggered (co-partitioned) and pipelined.
 
 use crate::activation::Activation;
+use crate::cache::{self, CacheCounters, IndexTally};
 use dbs3_lera::JoinAlgorithm;
 use dbs3_storage::{HashIndex, PartitionedRelation, Tuple};
 use std::sync::Arc;
@@ -19,18 +20,16 @@ pub struct TriggeredJoinOperator {
     /// Lazily resolved per-instance indexes over the inner fragments.
     /// Resolved once on the first (trigger or morsel) activation of an
     /// instance and shared by every morsel of the fragment — splitting the
-    /// outer scan must not multiply the build work. With a
-    /// [`shared_generation`](Self::with_shared_generation) the resolution
-    /// goes through the engine-wide index cache, so concurrent and repeated
-    /// queries over one relation share one build across operators.
+    /// outer scan must not multiply the build work. The index itself is
+    /// owned by the inner relation
+    /// ([`PartitionedRelation::fragment_index`]), so concurrent and
+    /// repeated queries over one relation share one build.
     indexes: Vec<OnceLock<Arc<HashIndex>>>,
     /// Shards each temporary index build is partitioned over
     /// ([`HashIndex::build_parallel`]); 1 = sequential build.
     build_shards: usize,
-    /// Catalog generation of the inner relation, when known: the key that
-    /// lets builds be shared through [`crate::cache::shared_index`]. `None`
-    /// keeps builds private to this operator.
-    shared_generation: Option<u64>,
+    /// This operator's index lookups, one per resolved instance.
+    index_lookups: IndexTally,
 }
 
 impl TriggeredJoinOperator {
@@ -52,7 +51,7 @@ impl TriggeredJoinOperator {
             algorithm,
             indexes,
             build_shards: 1,
-            shared_generation: None,
+            index_lookups: IndexTally::new(),
         }
     }
 
@@ -63,13 +62,9 @@ impl TriggeredJoinOperator {
         self
     }
 
-    /// Routes index resolution through the engine-wide shared cache, keyed
-    /// by the inner relation's catalog `generation`. Sequential and sharded
-    /// builds produce bit-identical layouts, so sharing across operators
-    /// with different `build_shards` settings is sound.
-    pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.shared_generation = generation;
-        self
+    /// The index lookups this operator made: at most one per instance.
+    pub fn index_lookups(&self) -> CacheCounters {
+        self.index_lookups.counters()
     }
 
     /// Processes one activation for `instance`, returning the output batch.
@@ -109,27 +104,20 @@ impl TriggeredJoinOperator {
                 // it with every outer tuple of the covered range (the paper's
                 // "index built on the fly" configuration behaves the same
                 // way). The index is resolved once per instance and reused by
-                // every sibling morsel; with a shared generation the build
-                // itself is shared engine-wide. The probe is an
+                // every sibling morsel; the build itself is shared by every
+                // query over the inner relation. The probe is an
                 // allocation-free iterator over the matching bucket.
                 let index = self.indexes[instance].get_or_init(|| {
-                    let build = || {
-                        HashIndex::build_parallel(
-                            inner.tuples(),
-                            self.inner_column,
-                            self.build_shards,
-                        )
-                    };
-                    match self.shared_generation {
-                        Some(generation) => crate::cache::shared_index(
-                            self.inner.name(),
-                            generation,
-                            self.inner_column,
-                            instance,
-                            build,
-                        ),
-                        None => Arc::new(build()),
-                    }
+                    cache::fragment_index(
+                        &self.inner,
+                        instance,
+                        self.inner_column,
+                        self.build_shards,
+                        &self.index_lookups,
+                    )
+                    // allow-panic: the fragment exists (looked up above) and
+                    // binding resolved the column against the inner schema.
+                    .expect("bound join key indexes an existing fragment column")
                 });
                 let mut out = Vec::new();
                 for o in &outer_tuples[start..end] {
@@ -168,9 +156,8 @@ pub struct PipelinedJoinOperator {
     /// Shards each lazy index build is partitioned over
     /// ([`HashIndex::build_parallel`]); 1 = sequential build.
     build_shards: usize,
-    /// Catalog generation of the inner relation, when known (see
-    /// [`TriggeredJoinOperator::with_shared_generation`]).
-    shared_generation: Option<u64>,
+    /// This operator's index lookups, one per resolved instance.
+    index_lookups: IndexTally,
 }
 
 impl PipelinedJoinOperator {
@@ -190,7 +177,7 @@ impl PipelinedJoinOperator {
             algorithm,
             indexes,
             build_shards: 1,
-            shared_generation: None,
+            index_lookups: IndexTally::new(),
         }
     }
 
@@ -201,11 +188,9 @@ impl PipelinedJoinOperator {
         self
     }
 
-    /// Routes index resolution through the engine-wide shared cache (see
-    /// [`TriggeredJoinOperator::with_shared_generation`]).
-    pub fn with_shared_generation(mut self, generation: Option<u64>) -> Self {
-        self.shared_generation = generation;
-        self
+    /// The index lookups this operator made: at most one per instance.
+    pub fn index_lookups(&self) -> CacheCounters {
+        self.index_lookups.counters()
     }
 
     /// Processes one activation for `instance`, returning the output batch.
@@ -237,23 +222,16 @@ impl PipelinedJoinOperator {
             }
             JoinAlgorithm::Hash | JoinAlgorithm::TempIndex => {
                 let index = self.indexes[instance].get_or_init(|| {
-                    let build = || {
-                        HashIndex::build_parallel(
-                            inner_tuples,
-                            self.inner_column,
-                            self.build_shards,
-                        )
-                    };
-                    match self.shared_generation {
-                        Some(generation) => crate::cache::shared_index(
-                            self.inner.name(),
-                            generation,
-                            self.inner_column,
-                            instance,
-                            build,
-                        ),
-                        None => Arc::new(build()),
-                    }
+                    cache::fragment_index(
+                        &self.inner,
+                        instance,
+                        self.inner_column,
+                        self.build_shards,
+                        &self.index_lookups,
+                    )
+                    // allow-panic: the fragment exists (looked up above) and
+                    // binding resolved the column against the inner schema.
+                    .expect("bound join key indexes an existing fragment column")
                 });
                 let mut out = Vec::new();
                 for outer_tuple in &batch {
@@ -390,27 +368,33 @@ mod tests {
     }
 
     #[test]
-    fn shared_generation_shares_builds_across_operators() {
+    fn operators_over_one_relation_share_its_index() {
         let (_, a) = partitioned("A", 200, 4);
         let u1 = a.schema().column_index("unique1").unwrap();
-        // A private generation keeps this test's cache entries disjoint
-        // from every real catalog generation in the process.
-        let generation = Some(u64::MAX - 41);
         let probe = a.fragments()[2].tuples()[0].clone();
-        let first = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
-            .with_shared_generation(generation);
-        let second = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
-            .with_shared_generation(generation);
+        let first = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
+        let second = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
         let out1 = first.process(2, Activation::single(probe.clone()));
         let out2 = second.process(2, Activation::single(probe));
         assert_eq!(out1, out2);
         assert_eq!(
             Arc::as_ptr(first.indexes[2].get().unwrap()),
             Arc::as_ptr(second.indexes[2].get().unwrap()),
-            "two operators over one (relation, generation) share one build"
+            "two operators over one relation share one build"
         );
-        // Without a generation, builds stay private.
-        let private = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash);
+        // Each operator tallies its own lookup: the first built, the second
+        // reused.
+        assert_eq!(
+            (first.index_lookups().misses, first.index_lookups().hits),
+            (1, 0)
+        );
+        assert_eq!(
+            (second.index_lookups().misses, second.index_lookups().hits),
+            (0, 1)
+        );
+        // An equal relation built separately owns separate indexes.
+        let (_, twin) = partitioned("A", 200, 4);
+        let private = PipelinedJoinOperator::new(twin, u1, u1, JoinAlgorithm::Hash);
         let probe2 = a.fragments()[2].tuples()[1].clone();
         let _ = private.process(2, Activation::single(probe2));
         assert_ne!(
@@ -427,6 +411,8 @@ mod tests {
         // partitioned build. 40_000 over 2 fragments gives ~20_000 per
         // fragment: 2 shards engage as requested, 8 clamp to 4 (both real
         // parallel builds, not the sequential fallback).
+        // A relation builds each fragment index once, so every shard count
+        // below runs against a fresh copy of A.
         let (_, a) = partitioned("A", 40_000, 2);
         let u1 = a.schema().column_index("unique1").unwrap();
         let probes: Vec<Tuple> = a.fragments()[0].tuples()[..500].to_vec();
@@ -436,7 +422,8 @@ mod tests {
         };
         assert_eq!(reference.len(), 500, "unique1 self-join");
         for shards in [1usize, 2, 8] {
-            let op = PipelinedJoinOperator::new(Arc::clone(&a), u1, u1, JoinAlgorithm::Hash)
+            let (_, a) = partitioned("A", 40_000, 2);
+            let op = PipelinedJoinOperator::new(a, u1, u1, JoinAlgorithm::Hash)
                 .with_build_shards(shards);
             let out = op.process(0, Activation::Data(TupleBatch::from(probes.clone())));
             assert_eq!(out, reference, "pipelined join diverged at {shards} shards");
@@ -457,14 +444,9 @@ mod tests {
         };
         assert_eq!(expected, 20_000, "B' joins A fully on unique1");
         for shards in [2usize, 8] {
-            let op = TriggeredJoinOperator::new(
-                Arc::clone(&b),
-                Arc::clone(&a),
-                u1,
-                u1,
-                JoinAlgorithm::Hash,
-            )
-            .with_build_shards(shards);
+            let (_, a) = partitioned("A", 40_000, 2);
+            let op = TriggeredJoinOperator::new(Arc::clone(&b), a, u1, u1, JoinAlgorithm::Hash)
+                .with_build_shards(shards);
             assert_eq!(
                 run_triggered(&op, 2),
                 expected,

@@ -17,6 +17,7 @@ pub use store::StoreOperator;
 pub use transmit::TransmitOperator;
 
 use crate::activation::Activation;
+use crate::cache::CacheCounters;
 use dbs3_storage::Tuple;
 
 /// Resolves a control activation to the fragment row range it covers, given
@@ -78,6 +79,15 @@ impl BoundOperator {
             BoundOperator::Transmit(op) => op.triggered_rows(instance),
             BoundOperator::TriggeredJoin(op) => op.triggered_rows(instance),
             BoundOperator::PipelinedJoin(_) | BoundOperator::Store(_) => None,
+        }
+    }
+
+    /// Fragment-index lookups this operator made (zero for non-joins).
+    pub fn index_lookups(&self) -> CacheCounters {
+        match self {
+            BoundOperator::TriggeredJoin(op) => op.index_lookups(),
+            BoundOperator::PipelinedJoin(op) => op.index_lookups(),
+            _ => CacheCounters::default(),
         }
     }
 

@@ -53,29 +53,29 @@
 //! whatever the morsel size, which `tests/backend_equivalence.rs` pins
 //! across backends.
 //!
-//! # Differences from the per-query scoped-thread executor
+//! # Threads, termination and backpressure
 //!
-//! * **Thread ownership is inverted.** Threads belong to the runtime, not
-//!   to an operation of one query. An operation's scheduled thread count
-//!   still shapes the *plan* (queue cost estimates, strategy choice); the
-//!   pool width bounds actual parallelism.
-//! * **Termination is by accounting, not by thread exit.** The old executor
-//!   closed a consumer's queues when the last producer *thread* exited.
-//!   Here an operation is *finished* when all its queues are exhausted
-//!   (closed + drained) and no worker holds one of its activations
-//!   (`inflight == 0`); finishing closes the consumer's queues, and the
-//!   check cascades down the pipeline. When every operation of a query has
-//!   finished, its results and metrics are sealed into a completion cell
-//!   and the query's [`QueryHandle::wait`] returns.
-//! * **Backpressure is cooperative.** A dedicated-pool engine can block on
-//!   a full consumer queue because the consumer owns other threads. A
-//!   shared pool cannot — if every worker blocked producing, nobody would
-//!   be left to consume and the pool would deadlock. Workers therefore
-//!   never block on a push: when a destination queue is full they *help
-//!   drain it* (pop a batch from that very queue and process it, exactly as
-//!   the consumer would), then retry. Helping recurses at most to the
-//!   pipeline depth and each step makes real progress, so tiny queue
-//!   capacities stay deadlock-free.
+//! * **Threads belong to the runtime**, not to an operation of one query.
+//!   An operation's scheduled thread count shapes the *plan* (queue cost
+//!   estimates, strategy choice); the pool width bounds actual
+//!   parallelism. Every real-thread query of the workspace runs here: a
+//!   `dbs3::Session` owns one runtime for its blocking `run()`, and callers
+//!   that need a given width submit to their own [`Runtime::new`].
+//! * **Termination is by accounting, not by thread exit.** An operation is
+//!   *finished* when all its queues are exhausted (closed + drained) and no
+//!   worker holds one of its activations (`inflight == 0`); finishing
+//!   closes the consumer's queues, and the check cascades down the
+//!   pipeline. When every operation of a query has finished, its results
+//!   and metrics are sealed into a completion cell and the query's
+//!   [`QueryHandle::wait`] returns.
+//! * **Backpressure is cooperative.** A shared pool cannot block on a full
+//!   consumer queue — if every worker blocked producing, nobody would be
+//!   left to consume and the pool would deadlock. Workers therefore never
+//!   block on a push: when a destination queue is full they *help drain
+//!   it* (pop a batch from that very queue and process it, exactly as the
+//!   consumer would), then retry. Helping recurses at most to the pipeline
+//!   depth and each step makes real progress, so tiny queue capacities stay
+//!   deadlock-free.
 //! * **Idle costs nothing.** Workers that find no poppable activation
 //!   anywhere park on a condvar (epoch-checked so a wakeup between the scan
 //!   and the park is never lost). An idle runtime burns no CPU; `submit`
@@ -90,9 +90,8 @@
 //! so no waiter ever hangs.
 
 use crate::activation::{Activation, TupleBatch};
-use crate::cache::{self, CacheStats, PreparedPlan};
+use crate::cache::{CacheCounters, CacheStats, PreparedPlan};
 use crate::error::EngineError;
-use crate::executor::ExecutionOutcome;
 use crate::faults::{self, FaultAction};
 use crate::metrics::{ExecutionMetrics, OperationMetrics, ThreadMetrics};
 use crate::operators::{
@@ -116,6 +115,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The result of a query execution.
+#[derive(Debug)]
+pub struct ExecutionOutcome {
+    /// Materialised results, keyed by the store operator's result name.
+    /// Empty per store when the schedule discards results
+    /// ([`ExecutionSchedule::discard_results`]).
+    pub results: BTreeMap<String, Vec<Tuple>>,
+    /// Exact result cardinality per store name, filled in every mode —
+    /// counting stores tally tuples they never materialise.
+    pub cardinalities: BTreeMap<String, usize>,
+    /// Execution metrics.
+    pub metrics: ExecutionMetrics,
+}
+
+impl ExecutionOutcome {
+    /// The single result of a plan with exactly one store operator.
+    pub fn result(&self) -> Option<&Vec<Tuple>> {
+        if self.results.len() == 1 {
+            self.results.values().next()
+        } else {
+            None
+        }
+    }
+}
 
 /// Identifier of a query submitted to a [`Runtime`], unique within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -240,9 +264,6 @@ struct QueryState {
     // eventually-visible increment works; its reader uses SeqCst merely to
     // pair with the rest of the watchdog scan.
     progress: AtomicU64,
-    /// Process-wide cache counters as of submission; finalization reports
-    /// the delta as this query's cache activity.
-    cache_baseline: CacheStats,
     metrics: MetricsSlots,
     cell: CompletionCell,
 }
@@ -489,29 +510,6 @@ impl Runtime {
         self.inner.pool_threads
     }
 
-    /// Returns the process-wide shared runtime with `pool_threads` workers,
-    /// spawning it on first use.
-    ///
-    /// This is the pool behind [`Executor::execute`](crate::Executor):
-    /// repeated blocking runs at the same thread count reuse one long-lived
-    /// pool instead of spawning and joining `n` OS threads per query —
-    /// at paper-scale workloads the spawn/join round trip costs as much as
-    /// the query itself. Shared runtimes live for the rest of the process
-    /// (they are never dropped; idle workers park on a condvar at ~0% CPU),
-    /// and concurrent callers at the same width share one pool — the
-    /// runtime schedules their queries side by side, which is its job.
-    pub fn shared(pool_threads: usize) -> Result<Arc<Runtime>> {
-        static POOLS: std::sync::OnceLock<Mutex<BTreeMap<usize, Arc<Runtime>>>> =
-            std::sync::OnceLock::new();
-        let mut pools = POOLS.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
-        if let Some(runtime) = pools.get(&pool_threads) {
-            return Ok(Arc::clone(runtime));
-        }
-        let runtime = Arc::new(Runtime::new(pool_threads)?);
-        pools.insert(pool_threads, Arc::clone(&runtime));
-        Ok(runtime)
-    }
-
     /// Number of queries currently registered (submitted, not yet completed
     /// or cancelled).
     pub fn live_queries(&self) -> usize {
@@ -538,40 +536,27 @@ impl Runtime {
     }
 
     /// Submits `plan` for execution under `schedule` and returns
-    /// immediately with a [`QueryHandle`]. Equivalent to
-    /// [`Runtime::submit_with`] with default [`CostParameters`].
+    /// immediately with a [`QueryHandle`]. The plan is expanded with default
+    /// [`CostParameters`] (they drive the static cost estimates attached to
+    /// queues, i.e. the LPT visit order); repeated queries go through
+    /// [`crate::cache::prepare`] and [`Runtime::submit_prepared`] instead.
+    ///
+    /// Binding happens on the calling thread: relation names resolve to
+    /// `Arc` fragments, triggers are injected, and the query's queue set is
+    /// registered with the pool. Workers start consuming as soon as the
+    /// registry is updated — often before this method returns.
     pub fn submit(
         &self,
         catalog: &Catalog,
         plan: &Plan,
         schedule: &ExecutionSchedule,
     ) -> Result<QueryHandle> {
-        self.submit_with(catalog, plan, schedule, &CostParameters::default())
-    }
-
-    /// Submits `plan` with explicit cost parameters (they drive the static
-    /// cost estimates attached to queues, i.e. the LPT visit order).
-    ///
-    /// Binding happens on the calling thread: relation names resolve to
-    /// `Arc` fragments, triggers are injected, and the query's queue set is
-    /// registered with the pool. Workers start consuming as soon as the
-    /// registry is updated — often before this method returns.
-    pub fn submit_with(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        schedule: &ExecutionSchedule,
-        cost_params: &CostParameters,
-    ) -> Result<QueryHandle> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(EngineError::RuntimeShutdown);
         }
         honor_submit_fault()?;
-        let cache_baseline = cache::cache_stats();
-        // Repeat submissions of the same plan shape reuse the cached
-        // expansion instead of re-walking the plan per fragment.
-        let extended = cache::cached_extended(catalog, plan, cost_params)?;
-        self.submit_inner(catalog, plan, &extended, schedule, cache_baseline)
+        let extended = ExtendedPlan::from_plan(plan, catalog, &CostParameters::default())?;
+        self.submit_inner(catalog, plan, &extended, schedule)
     }
 
     /// Submits a plan prepared by [`crate::cache::prepare`]: no expansion,
@@ -587,7 +572,6 @@ impl Runtime {
             return Err(EngineError::RuntimeShutdown);
         }
         honor_submit_fault()?;
-        let cache_baseline = cache::cache_stats();
         if !prepared.is_current(catalog) {
             return Err(EngineError::Plan(
                 "prepared plan is stale: a referenced relation changed generation since \
@@ -600,7 +584,6 @@ impl Runtime {
             prepared.plan(),
             prepared.extended(),
             prepared.schedule(),
-            cache_baseline,
         )
     }
 
@@ -612,7 +595,6 @@ impl Runtime {
         plan: &Plan,
         extended: &ExtendedPlan,
         schedule: &ExecutionSchedule,
-        cache_baseline: CacheStats,
     ) -> Result<QueryHandle> {
         schedule.validate(plan)?;
         if !plan
@@ -780,7 +762,6 @@ impl Runtime {
             cancelled: AtomicBool::new(false),
             ops_remaining,
             progress: AtomicU64::new(0),
-            cache_baseline,
             metrics,
             cell: CompletionCell {
                 outcome: Mutex::new(None),
@@ -1069,10 +1050,6 @@ pub(crate) fn bind_operator(
         } => {
             let inner = catalog.get(inner_relation)?;
             let inner_column = inner.schema().column_index(&condition.inner_column)?;
-            // The inner relation's generation keys the engine-wide shared
-            // build-index cache: every query binding this (relation,
-            // generation) pair shares one build per fragment.
-            let generation = catalog.generation(inner_relation);
             match outer {
                 OuterInput::Fragment { relation } => {
                     let outer_rel = catalog.get(relation)?;
@@ -1085,8 +1062,7 @@ pub(crate) fn bind_operator(
                             inner_column,
                             *algorithm,
                         )
-                        .with_build_shards(build_shards)
-                        .with_shared_generation(generation),
+                        .with_build_shards(build_shards),
                     ))
                 }
                 OuterInput::Pipeline => {
@@ -1097,8 +1073,7 @@ pub(crate) fn bind_operator(
                     let outer_column = incoming_schema.column_index(&condition.outer_column)?;
                     Ok(BoundOperator::PipelinedJoin(
                         PipelinedJoinOperator::new(inner, outer_column, inner_column, *algorithm)
-                            .with_build_shards(build_shards)
-                            .with_shared_generation(generation),
+                            .with_build_shards(build_shards),
                     ))
                 }
             }
@@ -1678,11 +1653,24 @@ fn finalize_query(inner: &Arc<RuntimeInner>, query: &Arc<QueryState>) {
             }
         })
         .collect();
+    // Plan-cache lookups happen in `prepare`, before the query exists, so
+    // only the query's own index lookups are attributed to it.
+    let index = query.ops.iter().map(|op| op.operator.index_lookups()).fold(
+        CacheCounters::default(),
+        |sum, c| CacheCounters {
+            hits: sum.hits + c.hits,
+            misses: sum.misses + c.misses,
+            evictions: 0,
+        },
+    );
     let metrics = ExecutionMetrics {
         elapsed,
         total_threads: inner.pool_threads,
         operations,
-        caches: cache::cache_stats().since(&query.cache_baseline),
+        caches: CacheStats {
+            index,
+            ..CacheStats::default()
+        },
     };
 
     let mut results = BTreeMap::new();
@@ -1754,6 +1742,147 @@ mod tests {
         assert_eq!(outcome.cardinalities["Result"], expected.len());
         assert!(outcome.metrics.total_activations() > 0);
         assert_eq!(runtime.live_queries(), 0);
+    }
+
+    /// Runs `plan` to completion on a pool as wide as the schedule's total
+    /// thread count.
+    fn run(cat: &Catalog, plan: &Plan, schedule: &ExecutionSchedule) -> ExecutionOutcome {
+        Runtime::new(schedule.total_threads())
+            .unwrap()
+            .submit(cat, plan, schedule)
+            .unwrap()
+            .wait()
+            .unwrap()
+    }
+
+    #[test]
+    fn assoc_join_produces_reference_result() {
+        let (cat, a_ref, b_ref) = build_catalog(600, 60, 8);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 6);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = b_ref.reference_join(&a_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+        let join_metrics = outcome.metrics.operation(NodeId(1)).unwrap();
+        assert_eq!(join_metrics.total_activations(), 60);
+    }
+
+    #[test]
+    fn selection_stores_matching_tuples() {
+        let (cat, a_ref, _) = build_catalog(1000, 10, 10);
+        let plan = plans::selection("A", dbs3_lera::Predicate::one_in("ten", 10), "Selected");
+        let schedule = schedule_for(&plan, &cat, 4);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = a_ref.reference_select(|t| t.value(4).as_int().unwrap() == 0);
+        assert_eq!(outcome.results["Selected"].len(), expected.len());
+        assert!(outcome.result().is_some());
+    }
+
+    #[test]
+    fn single_thread_execution_works() {
+        let (cat, a_ref, b_ref) = build_catalog(300, 30, 5);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
+        let schedule = schedule_for(&plan, &cat, 1);
+        let outcome = Runtime::new(1)
+            .unwrap()
+            .submit(&cat, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+        assert_eq!(outcome.metrics.total_threads, 1);
+    }
+
+    #[test]
+    fn metrics_report_queue_and_thread_structure() {
+        let (cat, _, _) = build_catalog(400, 40, 8);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 4);
+        let outcome = run(&cat, &plan, &schedule);
+        let m = &outcome.metrics;
+        assert_eq!(m.operations.len(), 3);
+        for op in &m.operations {
+            assert_eq!(op.queues, 8);
+            assert!(!op.threads.is_empty());
+        }
+        assert!(m.elapsed > Duration::ZERO);
+        assert!(m.worst_imbalance() >= 1.0);
+    }
+
+    #[test]
+    fn prepared_execution_matches_cold_execution() {
+        let (cat, a_ref, b_ref) = build_catalog(500, 50, 6);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let options = SchedulerOptions::default().with_total_threads(3);
+        let prepared =
+            crate::cache::prepare(&cat, &plan, &options, &CostParameters::default()).unwrap();
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        let runtime = Runtime::new(3).unwrap();
+        for _ in 0..2 {
+            let outcome = runtime
+                .submit_prepared(&cat, &prepared)
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(outcome.results["Result"].len(), expected.len());
+        }
+        // A catalog mutation makes the preparation stale: typed error, and
+        // a fresh preparation works again.
+        let mut mutated = cat.clone();
+        mutated.replace(
+            PartitionedRelation::from_relation(&a_ref, PartitionSpec::on("unique1", 6, 4)).unwrap(),
+        );
+        assert!(matches!(
+            runtime.submit_prepared(&mutated, &prepared),
+            Err(EngineError::Plan(_))
+        ));
+        let fresh =
+            crate::cache::prepare(&mutated, &plan, &options, &CostParameters::default()).unwrap();
+        let outcome = runtime
+            .submit_prepared(&mutated, &fresh)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+    }
+
+    #[test]
+    fn query_metrics_count_only_the_querys_own_index_lookups() {
+        let (cat, _, _) = build_catalog(800, 80, 8);
+        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 2);
+        let runtime = Runtime::new(2).unwrap();
+        let cold = runtime
+            .submit(&cat, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let warm = runtime
+            .submit(&cat, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
+        // Every one of the 8 join instances probes (B' hashes over all of
+        // them): the cold run builds each fragment index, the warm run
+        // reuses each. Plan lookups happen in `prepare`, never here.
+        assert_eq!(
+            cold.metrics.caches.index,
+            CacheCounters {
+                hits: 0,
+                misses: 8,
+                evictions: 0
+            }
+        );
+        assert_eq!(
+            warm.metrics.caches.index,
+            CacheCounters {
+                hits: 8,
+                misses: 0,
+                evictions: 0
+            }
+        );
+        assert_eq!(warm.metrics.caches.plan, CacheCounters::default());
     }
 
     #[test]

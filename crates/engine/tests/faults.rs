@@ -223,8 +223,8 @@ fn cache_lookup_fault_bypasses_the_caches_without_falsifying_results() {
 }
 
 /// A non-delay fault at `engine.cache.build` escalates to a panic inside
-/// the shared build, which the worker contains as a typed
-/// `WorkerPanicked`; the abandoned cache entry is cleaned up, so the next
+/// the fragment-index build, which the worker contains as a typed
+/// `WorkerPanicked`; the relation's index slot stays empty, so the next
 /// submit rebuilds and succeeds.
 #[test]
 fn cache_build_fault_is_contained_and_the_entry_abandoned() {
@@ -245,7 +245,7 @@ fn cache_build_fault_is_contained_and_the_entry_abandoned() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     assert_eq!(runtime.live_queries(), 0);
-    // Nth(1) is spent and the failed build left no poisoned entry behind:
+    // Nth(1) is spent and the failed build left no poisoned slot behind:
     // the same prepared plan now builds its index and answers correctly.
     let outcome = runtime
         .submit_prepared(&cat, &prepared)

@@ -1,11 +1,11 @@
-//! Stress and edge-case tests of the parallel executor: backpressure with
+//! Stress and edge-case tests of the parallel runtime: backpressure with
 //! tiny queue capacities, degenerate schedules, empty inputs and
 //! more-threads-than-work configurations. These are the situations where a
 //! queue-based pipeline engine typically deadlocks or loses activations.
 
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionSchedule, Executor, OperationSchedule, Scheduler,
-    SchedulerOptions,
+    ConsumptionStrategy, ExecutionOutcome, ExecutionSchedule, OperationSchedule, Runtime,
+    Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{plans, CostParameters, ExtendedPlan, JoinAlgorithm, Plan, Predicate};
 use dbs3_storage::{
@@ -29,6 +29,16 @@ fn catalog_with(a: Relation, b: Relation, degree: usize) -> Catalog {
     cat.register(PartitionedRelation::from_relation(&b, spec).unwrap())
         .unwrap();
     cat
+}
+
+/// Runs `plan` on a pool as wide as the schedule's total thread count.
+fn execute(cat: &Catalog, plan: &Plan, schedule: &ExecutionSchedule) -> ExecutionOutcome {
+    Runtime::new(schedule.total_threads())
+        .unwrap()
+        .submit(cat, plan, schedule)
+        .unwrap()
+        .wait()
+        .unwrap()
 }
 
 fn manual_schedule(
@@ -62,7 +72,7 @@ fn tiny_queue_capacity_does_not_deadlock() {
     let cat = catalog_with(a, b, 16);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let schedule = manual_schedule(&plan, 2, 2, 1);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert_eq!(outcome.results["Result"].len(), 400);
 }
 
@@ -75,7 +85,7 @@ fn cache_larger_than_queue_capacity() {
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 3, 4, 256);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert_eq!(outcome.results["Result"].len(), 500);
 }
 
@@ -88,7 +98,7 @@ fn empty_transmitted_relation_terminates() {
     let cat = catalog_with(a, b, 8);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
     let schedule = manual_schedule(&plan, 4, 16, 8);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert!(outcome.results["Result"].is_empty());
 }
 
@@ -100,7 +110,7 @@ fn empty_inner_relation_produces_empty_result() {
     let cat = catalog_with(a, b, 4);
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 2, 8, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert!(outcome.results["Result"].is_empty());
 }
 
@@ -113,7 +123,7 @@ fn fully_selective_filter() {
     let cat = catalog_with(a, b, 32);
     let plan = plans::selection("A", Predicate::eq("unique1", -1), "Nothing");
     let schedule = manual_schedule(&plan, 4, 64, 8);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert!(outcome.results["Nothing"].is_empty());
     let filter = &outcome.metrics.operations[0];
     assert_eq!(filter.total_activations(), 32);
@@ -128,7 +138,7 @@ fn many_threads_little_work() {
     let cat = catalog_with(a, b, 2);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::TempIndex);
     let schedule = manual_schedule(&plan, 16, 8, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert_eq!(outcome.results["Result"].len(), 50);
     assert_eq!(outcome.metrics.total_threads, 32);
 }
@@ -142,7 +152,7 @@ fn single_fragment_execution() {
     let cat = catalog_with(a, b, 1);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
     let schedule = manual_schedule(&plan, 4, 16, 4);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert_eq!(outcome.results["Result"].len(), 100);
 }
 
@@ -161,9 +171,13 @@ fn repeated_executions_are_stable() {
         &SchedulerOptions::default().with_total_threads(3),
     )
     .unwrap();
-    let executor = Executor::new(&cat);
+    let runtime = Runtime::new(schedule.total_threads()).unwrap();
     for _ in 0..5 {
-        let outcome = executor.execute(&plan, &schedule).unwrap();
+        let outcome = runtime
+            .submit(&cat, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(outcome.results["Result"].len(), 250);
     }
 }
@@ -196,6 +210,6 @@ fn lpt_single_thread_skewed() {
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
     let mut schedule = manual_schedule(&plan, 1, 4, 2);
     schedule = schedule.with_strategy(ConsumptionStrategy::Lpt);
-    let outcome = Executor::new(&cat).execute(&plan, &schedule).unwrap();
+    let outcome = execute(&cat, &plan, &schedule);
     assert_eq!(outcome.results["Result"].len(), expected);
 }

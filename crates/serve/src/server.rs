@@ -123,7 +123,7 @@ pub struct ServerStats {
     pub replayed: u64,
     /// Queries cancelled because their request deadline elapsed.
     pub deadlines: u64,
-    /// Prepared-plan and shared-index cache activity over this server's
+    /// Prepared-plan and fragment-index cache activity over this server's
     /// lifetime (delta of the process-wide counters between bind and drain):
     /// how much query setup was shared across connections.
     pub caches: CacheStats,

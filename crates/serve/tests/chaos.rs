@@ -92,7 +92,7 @@ fn chaos_storm_never_hangs_and_never_lies() {
         )
         // A failing query-setup cache must degrade to uncached setup, never
         // to a wrong answer: every fifth-ish lookup bypasses the prepared
-        // plan and shared-index caches entirely, so cached and uncached
+        // plan cache and the relations' fragment indexes, so cached and uncached
         // executions of the same plan interleave throughout the storm and
         // the cardinality assertion below judges them all.
         .rule(

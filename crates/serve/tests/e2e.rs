@@ -7,6 +7,8 @@ use dbs3_storage::{
     Catalog, ColumnDef, PartitionSpec, PartitionedRelation, Relation, Schema, Tuple, Value,
 };
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Builds the `A`/`Bprime` join catalog (every tuple of `Bprime` matches
@@ -147,19 +149,29 @@ fn over_admission_gets_a_typed_busy_frame() {
         },
     );
 
-    let slow = std::thread::spawn(move || {
-        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-        let mut session = RemoteSession::connect(addr).expect("connect");
-        // The knocking client below may win the single admission slot for a
-        // moment; being shed is retryable by contract.
-        loop {
-            match session.query(&plan).threads(1).run() {
-                Ok(outcome) => return outcome,
-                Err(ServeError::ServerBusy { .. }) => std::thread::sleep(Duration::from_millis(2)),
-                Err(other) => panic!("slow query: {other}"),
+    // The slow client keeps the slot busy by re-submitting until the
+    // knocking client has been refused: one slow query alone can finish
+    // between two knocks.
+    let knocked = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let knocked = Arc::clone(&knocked);
+        std::thread::spawn(move || {
+            let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
+            let mut session = RemoteSession::connect(addr).expect("connect");
+            loop {
+                match session.query(&plan).threads(1).run() {
+                    Ok(outcome) if knocked.load(Ordering::SeqCst) => return outcome,
+                    Ok(_) => {}
+                    // The knocking client below may win the single admission
+                    // slot for a moment; being shed is retryable by contract.
+                    Err(ServeError::ServerBusy { .. }) => {
+                        std::thread::sleep(Duration::from_millis(2))
+                    }
+                    Err(other) => panic!("slow query: {other}"),
+                }
             }
-        }
-    });
+        })
+    };
 
     // Knock until the slow query is admitted, then demand the busy error.
     let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
@@ -175,6 +187,8 @@ fn over_admission_gets_a_typed_busy_frame() {
             Err(other) => panic!("expected ServerBusy, got {other}"),
         }
     }
+    // Released whatever the outcome, so the slow client always finishes.
+    knocked.store(true, Ordering::SeqCst);
     let (live, max_inflight) = saw_busy.expect("the slow query never saturated admission");
     assert_eq!(max_inflight, 1);
     assert!(live >= 1);

@@ -21,7 +21,7 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 /// unique across *all* catalogs, not merely monotonic within one, so a
 /// `(relation name, generation)` pair identifies one immutable
 /// [`PartitionedRelation`] no matter how many catalogs or sessions exist —
-/// the property the engine's shared build-index cache keys on.
+/// the property the engine's prepared-plan cache keys on.
 fn next_generation() -> u64 {
     // ordering: Relaxed — see NEXT_GENERATION; only uniqueness matters.
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
@@ -36,10 +36,9 @@ fn next_generation() -> u64 {
 /// Every mutation ([`register`](Catalog::register),
 /// [`replace`](Catalog::replace), [`remove`](Catalog::remove)) stamps the
 /// affected name with a fresh process-wide unique *generation*
-/// ([`generation`](Catalog::generation)). Caches layered above the catalog
-/// (prepared plans, shared build-side hash indexes) key their entries on it:
-/// a mutation makes every stale entry unreachable without the catalog
-/// knowing the caches exist.
+/// ([`generation`](Catalog::generation)). The prepared-plan cache layered
+/// above the catalog keys its entries on it: a mutation makes every stale
+/// entry unreachable without the catalog knowing the cache exists.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     relations: HashMap<String, Arc<PartitionedRelation>>,

@@ -12,15 +12,21 @@
 //! * [`PartitionedRelation`] — a relation split into [`Fragment`]s;
 //! * skew-controlled partitioning ([`PartitionedRelation::from_relation_with_skew`])
 //!   used to build the experiment databases of Section 5.4–5.6, where
-//!   fragment cardinalities follow a Zipf(θ) distribution.
+//!   fragment cardinalities follow a Zipf(θ) distribution;
+//! * the temporary hash index of each fragment
+//!   ([`PartitionedRelation::fragment_index`]), built on first use and
+//!   shared by every query that probes the relation.
 
 use crate::error::StorageError;
 use crate::fragment::Fragment;
+use crate::index::HashIndex;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::zipf::Zipf;
 use crate::Result;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// How a relation is statically partitioned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +84,30 @@ impl PartitionSpec {
     }
 }
 
+/// Lazily built hash indexes of one relation, one slot per (fragment,
+/// column), laid out fragment-major.
+#[derive(Clone)]
+struct IndexSlots(Vec<OnceLock<Arc<HashIndex>>>);
+
+impl IndexSlots {
+    fn new(fragments: usize, width: usize) -> Self {
+        IndexSlots((0..fragments * width).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl fmt::Debug for IndexSlots {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built = self.0.iter().filter(|slot| slot.get().is_some()).count();
+        write!(f, "{built} of {} built", self.0.len())
+    }
+}
+
 /// A statically partitioned relation: the unit the execution engine works on.
+///
+/// A relation is immutable once built, so the hash index of a fragment
+/// column is built at most once and lives exactly as long as the relation:
+/// replacing the relation in a [`Catalog`](crate::Catalog) frees its
+/// indexes with it.
 #[derive(Debug, Clone)]
 pub struct PartitionedRelation {
     name: String,
@@ -86,6 +115,7 @@ pub struct PartitionedRelation {
     spec: PartitionSpec,
     key_indexes: Vec<usize>,
     fragments: Vec<Fragment>,
+    indexes: IndexSlots,
 }
 
 impl PartitionedRelation {
@@ -105,6 +135,7 @@ impl PartitionedRelation {
         Ok(PartitionedRelation {
             name: relation.name().to_string(),
             schema: relation.schema().clone(),
+            indexes: IndexSlots::new(spec.degree, relation.schema().width()),
             spec,
             key_indexes,
             fragments,
@@ -171,6 +202,7 @@ impl PartitionedRelation {
         Ok(PartitionedRelation {
             name: relation.name().to_string(),
             schema: relation.schema().clone(),
+            indexes: IndexSlots::new(spec.degree, relation.schema().width()),
             spec,
             key_indexes,
             fragments,
@@ -215,6 +247,40 @@ impl PartitionedRelation {
                 fragment: id,
                 degree: self.spec.degree,
             })
+    }
+
+    /// The hash index over `column` of fragment `fragment`, built by the
+    /// first request and shared by every later one. Returns the index and
+    /// whether this call built it.
+    ///
+    /// Concurrent requesters of one slot block on the single build in
+    /// flight. `before_build` runs inside that build, just before the index
+    /// is built; if it or the build panics, the slot stays empty and the
+    /// next requester builds. `shards` partitions the build
+    /// ([`HashIndex::build_parallel`]); the layout is identical for every
+    /// shard count, so the slot does not depend on it.
+    pub fn fragment_index(
+        &self,
+        fragment: usize,
+        column: usize,
+        shards: usize,
+        before_build: impl FnOnce(),
+    ) -> Result<(Arc<HashIndex>, bool)> {
+        let tuples = self.fragment(fragment)?.tuples();
+        let width = self.schema.width();
+        if column >= width {
+            return Err(StorageError::ColumnIndexOutOfBounds {
+                index: column,
+                width,
+            });
+        }
+        let mut built = false;
+        let index = self.indexes.0[fragment * width + column].get_or_init(|| {
+            before_build();
+            built = true;
+            Arc::new(HashIndex::build_parallel(tuples, column, shards))
+        });
+        Ok((Arc::clone(index), built))
     }
 
     /// Total cardinality across fragments.
@@ -444,5 +510,68 @@ mod tests {
                 degree: 4
             })
         ));
+    }
+
+    #[test]
+    fn fragment_index_is_built_once_per_fragment_column() {
+        let r = relation(400);
+        let p = PartitionedRelation::from_relation(&r, PartitionSpec::on("id", 4, 1)).unwrap();
+        let (first, built) = p.fragment_index(1, 0, 1, || {}).unwrap();
+        assert!(built);
+        let (again, built) = p.fragment_index(1, 0, 4, || {}).unwrap();
+        assert!(!built, "a built slot is shared, whatever the shard count");
+        assert!(Arc::ptr_eq(&first, &again));
+        let (other_column, built) = p.fragment_index(1, 1, 1, || {}).unwrap();
+        assert!(built);
+        assert_eq!(other_column.key_index(), 1);
+        let key = p.fragments()[1].tuples()[0].value(0).clone();
+        assert_eq!(first.probe(p.fragments()[1].tuples(), &key).count(), 1);
+        assert!(matches!(
+            p.fragment_index(4, 0, 1, || {}),
+            Err(StorageError::FragmentOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            p.fragment_index(0, 2, 1, || {}),
+            Err(StorageError::ColumnIndexOutOfBounds { index: 2, width: 2 })
+        ));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_slot_empty() {
+        let r = relation(100);
+        let p = PartitionedRelation::from_relation(&r, PartitionSpec::on("id", 2, 1)).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.fragment_index(0, 0, 1, || panic!("build fails"))
+        }));
+        assert!(unwound.is_err());
+        let (_, built) = p.fragment_index(0, 0, 1, || {}).unwrap();
+        assert!(built, "the next requester builds");
+    }
+
+    #[test]
+    fn concurrent_requesters_share_one_build() {
+        let r = relation(2_000);
+        let p = PartitionedRelation::from_relation(&r, PartitionSpec::on("id", 2, 1)).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<(Arc<HashIndex>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        p.fragment_index(0, 0, 1, || {
+                            // Slow the build so the other requesters arrive
+                            // while it is in flight.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                        })
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+        for (index, _) in &results {
+            assert!(Arc::ptr_eq(index, &results[0].0));
+        }
     }
 }

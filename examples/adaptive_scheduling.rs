@@ -52,7 +52,8 @@ fn main() -> Result<()> {
         println!();
     }
 
-    // Execute with 8 threads and report the observed balance.
+    // Execute the 8-thread schedule on the session's runtime (one worker
+    // per CPU) and report the observed balance.
     let outcome = session.query(&plan).threads(8).run()?;
 
     println!();

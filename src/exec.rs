@@ -1,11 +1,11 @@
-//! Pluggable execution backends behind one [`ExecutionBackend`] trait.
+//! Execution regimes and the unified outcome of a query.
 //!
 //! The paper's central claim is that one plan can be executed under many
 //! regimes — different thread counts, consumption strategies, cache sizes,
-//! real OS threads or the simulated 72-processor KSR1. This module makes the
-//! *regime* a value: a [`Query`](crate::Query) carries backend-neutral knobs
-//! ([`SchedulerOptions`]) and hands them to whichever backend it is pointed
-//! at, so swapping real threads for virtual time is a one-line change:
+//! real OS threads or the simulated 72-processor KSR1. A
+//! [`Query`](crate::Query) carries backend-neutral knobs
+//! ([`SchedulerOptions`]) and a [`Backend`] selector, so swapping real
+//! threads for virtual time is a one-line change:
 //!
 //! ```
 //! use dbs3::prelude::*;
@@ -32,26 +32,20 @@
 //! # Ok::<(), dbs3::Error>(())
 //! ```
 //!
-//! Custom backends implement [`ExecutionBackend`] directly and run through
-//! [`Query::run_on`](crate::Query::run_on); the built-in implementations
-//! are [`ThreadedBackend`] (a transient worker pool per query, via
-//! [`Executor`]), [`PooledBackend`] (a persistent shared
-//! [`Runtime`] pool serving many concurrent queries),
-//! and [`SimBackend`] (virtual time via [`Simulator::simulate`]).
+//! # Real threads: one runtime path
 //!
-//! # The `Pooled` backend and concurrent queries
-//!
-//! [`Backend::Pooled`] points a query at a long-lived
-//! [`Runtime`]: the pool is spawned once, parks when
-//! idle, and serves every query submitted to it — concurrently, with
-//! workers picking activations across all live queries. `run()` on a pooled
-//! query is exactly `submit` + wait; non-blocking submission with a
-//! [`QueryHandle`] (`wait`/`try_outcome`/`cancel`) goes through
-//! [`Query::submit`](crate::Query::submit):
+//! Every real-thread query runs on a persistent
+//! [`Runtime`](dbs3_engine::Runtime) worker pool.
+//! [`Query::run`](crate::Query::run) submits to the runtime the
+//! [`Session`](crate::Session) owns (spawned on its first `run()`, one
+//! worker per available CPU) and waits.
+//! [`Query::submit`](crate::Query::submit) submits to a runtime the caller
+//! owns and returns a [`QueryHandle`] (`wait`/`try_outcome`/`cancel`); any
+//! number of queries may be in flight on one runtime, and workers pick
+//! activations across all of them:
 //!
 //! ```
 //! use dbs3::prelude::*;
-//! use std::sync::Arc;
 //!
 //! let mut session = Session::new();
 //! let spec = PartitionSpec::on("unique1", 8, 2);
@@ -59,166 +53,68 @@
 //! session.load_wisconsin(&WisconsinConfig::narrow("Bprime", 100), spec)?;
 //! let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
 //!
-//! let runtime = Arc::new(Runtime::new(4)?);
-//! // Blocking, through the backend selector...
-//! let pooled = session
-//!     .query(&plan)
-//!     .on(Backend::Pooled(Arc::clone(&runtime)))
-//!     .run()?;
-//! // ...or submit-and-wait with a handle.
-//! let handle = session.query(&plan).submit(&runtime)?;
-//! let submitted = handle.wait()?;
-//! assert_eq!(pooled.result_cardinality("Result"), Some(100));
-//! assert_eq!(submitted.result_cardinality("Result"), Some(100));
+//! // A pool of exactly 4 workers, shared by both queries.
+//! let runtime = Runtime::new(4)?;
+//! let first = session.query(&plan).submit(&runtime)?;
+//! let second = session.query(&plan).submit(&runtime)?;
+//! assert_eq!(first.wait()?.result_cardinality("Result"), Some(100));
+//! assert_eq!(second.wait()?.result_cardinality("Result"), Some(100));
 //! # Ok::<(), dbs3::Error>(())
 //! ```
 //!
-//! The pool's width is fixed at [`Runtime::new`];
-//! a pooled query's `.threads(n)` knob still shapes its *schedule* (queue
-//! cost estimates, strategy picks) but does not resize the pool.
+//! A query's `.threads(n)` knob shapes its *schedule* (queue cost
+//! estimates, strategy picks); the width of the pool it runs on, fixed at
+//! [`Runtime::new`](dbs3_engine::Runtime::new), sets the real parallelism.
+//! A caller that needs a given width submits to its own `Runtime::new(n)`.
 
 use crate::error::Result;
-use dbs3_engine::{ExecutionMetrics, ExecutionOutcome, Executor, Runtime, SchedulerOptions};
-use dbs3_lera::{CostParameters, NodeId, OperatorKind, Plan};
+use dbs3_engine::{ExecutionMetrics, ExecutionOutcome, SchedulerOptions};
+use dbs3_lera::{NodeId, OperatorKind, Plan};
 use dbs3_sim::{SimConfig, SimReport, Simulator};
 use dbs3_storage::{Catalog, Tuple};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// A strategy for turning a plan plus backend-neutral execution knobs into a
-/// [`QueryOutcome`].
-///
-/// Implementations receive the full [`SchedulerOptions`] a
-/// [`Query`](crate::Query) accumulated; they honour the knobs that make
-/// sense for them (the simulator, for instance, has no real producer-side
-/// cache to size) and must fill [`QueryOutcome::cardinalities`] so results
-/// can be compared across backends.
-pub trait ExecutionBackend {
-    /// Short backend name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// Executes `plan` against `catalog` under `options`.
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome>;
-}
-
-/// The built-in backend selector used by [`Query::on`](crate::Query::on).
+/// Where [`Query::run`](crate::Query::run) executes a query.
 #[derive(Debug, Clone, Default)]
 pub enum Backend {
-    /// Execute with real OS threads on a transient per-query worker pool.
+    /// Real OS threads on the session's runtime (see the
+    /// [module docs](self)).
     #[default]
     Threaded,
-    /// Execute on a persistent shared [`Runtime`] pool that serves many
-    /// concurrent queries (see the [module docs](self)).
-    Pooled(Arc<Runtime>),
     /// Replay the same schedule on the virtual-time simulator configured by
-    /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]).
+    /// the given [`SimConfig`] (e.g. [`SimConfig::ksr1`]). The query-level
+    /// knobs win where they overlap: an explicit `.threads(n)` or
+    /// `.strategy(..)` overrides the config's `total_threads` /
+    /// `strategy_override`.
     Simulated(SimConfig),
 }
 
-impl Backend {
-    /// Resolves the selector to a boxed backend implementation.
-    pub fn resolve(&self) -> Box<dyn ExecutionBackend> {
-        match self {
-            Backend::Threaded => Box::new(ThreadedBackend::new()),
-            Backend::Pooled(runtime) => Box::new(PooledBackend::new(Arc::clone(runtime))),
-            Backend::Simulated(config) => Box::new(SimBackend::new(config.clone())),
-        }
+/// Runs `plan` in virtual time under `config`, with the query's `options`
+/// taking precedence where both set a knob.
+pub(crate) fn simulate(
+    catalog: &Catalog,
+    plan: &Plan,
+    options: &SchedulerOptions,
+    config: &SimConfig,
+) -> Result<QueryOutcome> {
+    options.validate()?;
+    let mut config = config.clone();
+    if let Some(threads) = options.total_threads {
+        config.total_threads = threads;
     }
+    if let Some(strategy) = options.strategy_override {
+        config.strategy_override = Some(strategy);
+    }
+    // All remaining scheduler tunables (queue/cache sizing, skew threshold,
+    // work per thread) are forwarded so the simulated schedule matches what
+    // the threaded engine would build.
+    let report = Simulator::new(catalog).simulate_with_options(plan, &config, options)?;
+    Ok(QueryOutcome::from_sim_report(plan, report))
 }
 
-/// Executes queries with real OS threads, wrapping the engine's
-/// expand → schedule → execute pipeline in one call.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadedBackend {
-    cost_params: CostParameters,
-}
-
-impl ThreadedBackend {
-    /// Creates a threaded backend with default cost parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the cost parameters used for plan expansion (they drive the
-    /// scheduler's complexity estimates and the LPT queue order).
-    pub fn with_cost_parameters(mut self, params: CostParameters) -> Self {
-        self.cost_params = params;
-        self
-    }
-}
-
-impl ExecutionBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        // Expansion and scheduling go through the engine's prepared-query
-        // cache: repeat runs of the same plan shape skip both.
-        let prepared = dbs3_engine::prepare(catalog, plan, options, &self.cost_params)?;
-        let outcome = Executor::new(catalog)
-            .with_cost_parameters(self.cost_params)
-            .execute_prepared(&prepared)?;
-        Ok(QueryOutcome::from_execution(outcome))
-    }
-}
-
-/// Executes queries on a persistent shared [`Runtime`] worker pool.
-///
-/// Unlike [`ThreadedBackend`], which spawns and joins a fresh pool per
-/// query, this backend submits to a pool that outlives the query and may be
-/// serving other queries at the same time. `execute` blocks on the query's
-/// completion; for non-blocking submission use
-/// [`Query::submit`](crate::Query::submit).
-#[derive(Debug, Clone)]
-pub struct PooledBackend {
-    runtime: Arc<Runtime>,
-}
-
-impl PooledBackend {
-    /// Creates a backend submitting to the given runtime.
-    pub fn new(runtime: Arc<Runtime>) -> Self {
-        PooledBackend { runtime }
-    }
-
-    /// The shared runtime this backend submits to.
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.runtime
-    }
-}
-
-impl ExecutionBackend for PooledBackend {
-    fn name(&self) -> &'static str {
-        "pooled"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        // Same cached prepare as the threaded backend; the submission then
-        // goes straight to binding on the shared pool.
-        let prepared = dbs3_engine::prepare(catalog, plan, options, &CostParameters::default())?;
-        let outcome = self.runtime.submit_prepared(catalog, &prepared)?.wait()?;
-        Ok(QueryOutcome::from_execution(outcome))
-    }
-}
-
-/// A handle to a query submitted to a shared [`Runtime`] through
-/// [`Query::submit`](crate::Query::submit).
+/// A handle to a query submitted to a [`Runtime`](dbs3_engine::Runtime)
+/// through [`Query::submit`](crate::Query::submit).
 ///
 /// Wraps the engine-level [`dbs3_engine::QueryHandle`], converting outcomes
 /// to the facade's unified [`QueryOutcome`] and errors to [`crate::Error`].
@@ -276,62 +172,6 @@ impl QueryHandle {
     /// Idempotent, and the runtime stays fully reusable.
     pub fn cancel(&self) {
         self.inner.cancel();
-    }
-}
-
-/// Executes queries in virtual time on the KSR1-scale simulator.
-///
-/// The backend's own [`SimConfig`] supplies the machine model (processors,
-/// data placement, cost calibration, worker assignment); the query-level
-/// knobs win where they overlap — an explicit `.threads(n)` or
-/// `.strategy(..)` on the [`Query`](crate::Query) overrides the config's
-/// `total_threads` / `strategy_override`.
-#[derive(Debug, Clone, Default)]
-pub struct SimBackend {
-    config: SimConfig,
-}
-
-impl SimBackend {
-    /// Creates a simulator backend from a machine configuration.
-    pub fn new(config: SimConfig) -> Self {
-        SimBackend { config }
-    }
-
-    /// The paper's KSR1 machine (70 reserved processors, calibrated costs).
-    pub fn ksr1() -> Self {
-        SimBackend::new(SimConfig::ksr1())
-    }
-
-    /// The backend's machine configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-}
-
-impl ExecutionBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "simulated"
-    }
-
-    fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &Plan,
-        options: &SchedulerOptions,
-    ) -> Result<QueryOutcome> {
-        options.validate()?;
-        let mut config = self.config.clone();
-        if let Some(threads) = options.total_threads {
-            config.total_threads = threads;
-        }
-        if let Some(strategy) = options.strategy_override {
-            config.strategy_override = Some(strategy);
-        }
-        // All remaining scheduler tunables (queue/cache sizing, skew
-        // threshold, work per thread) are forwarded so the simulated
-        // schedule matches what the threaded backend would build.
-        let report = Simulator::new(catalog).simulate_with_options(plan, &config, options)?;
-        Ok(QueryOutcome::from_sim_report(plan, report))
     }
 }
 
@@ -400,11 +240,9 @@ impl BackendMetrics {
         }
     }
 
-    /// Query-setup cache activity attributed to this execution (prepared
-    /// plans and shared build-side hash indexes); `None` for the simulator,
-    /// which has no cache to consult. See
-    /// [`ExecutionMetrics::caches`](dbs3_engine::ExecutionMetrics) for the
-    /// attribution caveats under concurrency.
+    /// This query's own cache activity (its fragment-index lookups; see
+    /// [`ExecutionMetrics::caches`](dbs3_engine::ExecutionMetrics)); `None`
+    /// for the simulator, which has no cache to consult.
     pub fn cache_stats(&self) -> Option<dbs3_engine::CacheStats> {
         self.as_threaded().map(|m| m.caches)
     }
@@ -430,7 +268,7 @@ impl BackendMetrics {
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Materialised result tuples, keyed by store name. Only the threaded
-    /// and pooled backends materialise tuples — and not when the query ran
+    /// backend materialises tuples — and not when the query ran
     /// with [`Query::discard_results`](crate::Query::discard_results); the
     /// simulator always leaves this empty and reports cardinalities instead.
     pub results: BTreeMap<String, Vec<Tuple>>,

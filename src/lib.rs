@@ -1,13 +1,11 @@
 //! # dbs3 — Adaptive Parallel Query Execution in DBS3, reproduced in Rust
 //!
 //! The public entry point is the [`Session`]/[`Query`] facade: a session
-//! owns a catalog of partitioned relations, a query chains execution knobs
-//! and runs on a pluggable [`exec::ExecutionBackend`] — a transient
-//! per-query thread pool ([`exec::ThreadedBackend`]), a persistent shared
-//! [`Runtime`] pool serving many concurrent queries
-//! ([`exec::PooledBackend`], non-blocking via [`Query::submit`]), or the
-//! virtual-time KSR1 simulator ([`exec::SimBackend`]) — returning a unified
-//! [`exec::QueryOutcome`].
+//! owns a catalog of partitioned relations, and a query chains execution
+//! knobs and runs either on real threads — a persistent [`Runtime`] pool,
+//! the session's own for [`Query::run`] or a caller's for the non-blocking
+//! [`Query::submit`] — or on the virtual-time KSR1 simulator
+//! ([`Backend::Simulated`]), returning a unified [`exec::QueryOutcome`].
 //!
 //! The underlying crates stay public for low-level control:
 //!
@@ -16,8 +14,8 @@
 //! * [`lera`] ([`dbs3_lera`]) — the Lera-par dataflow plan language,
 //!   extended-view expansion and complexity estimation;
 //! * [`engine`] ([`dbs3_engine`]) — the adaptive parallel execution engine
-//!   (activation queues, per-operation thread pools, Random/LPT consumption
-//!   strategies, the four-step scheduler);
+//!   (activation queues, the shared worker-pool runtime, Random/LPT
+//!   consumption strategies, the four-step scheduler);
 //! * [`model`] ([`dbs3_model`]) — the analytical model (skew overhead bound,
 //!   `nmax`, thread-allocation equations);
 //! * [`sim`] ([`dbs3_sim`]) — the virtual-time multiprocessor simulator
@@ -63,24 +61,18 @@ mod error;
 pub mod exec;
 mod session;
 
-pub use dbs3_engine::{cache_stats, clear_caches, CacheCounters, CacheStats, QueryId, Runtime};
+pub use dbs3_engine::{cache_stats, CacheCounters, CacheStats, QueryId, Runtime};
 pub use error::{Error, Result};
-pub use exec::{
-    Backend, BackendMetrics, ExecutionBackend, PooledBackend, QueryHandle, QueryOutcome,
-    SimBackend, ThreadedBackend,
-};
+pub use exec::{Backend, BackendMetrics, QueryHandle, QueryOutcome};
 pub use session::{PreparedQuery, Query, Session};
 
 /// The most commonly used items of every crate, for `use dbs3::prelude::*`.
 pub mod prelude {
-    pub use crate::exec::{
-        Backend, BackendMetrics, ExecutionBackend, PooledBackend, QueryHandle, QueryOutcome,
-        SimBackend, ThreadedBackend,
-    };
+    pub use crate::exec::{Backend, BackendMetrics, QueryHandle, QueryOutcome};
     pub use crate::session::{PreparedQuery, Query, Session};
     pub use crate::{Error, Result};
     pub use dbs3_engine::{
-        CacheStats, ConsumptionStrategy, ExecutionSchedule, Executor, QueryId, Runtime, Scheduler,
+        CacheStats, ConsumptionStrategy, ExecutionSchedule, QueryId, Runtime, Scheduler,
         SchedulerOptions,
     };
     pub use dbs3_lera::{

@@ -3,37 +3,41 @@
 //! The low-level API is a five-step ritual — generate, partition/register,
 //! [`ExtendedPlan::from_plan`](dbs3_lera::ExtendedPlan::from_plan),
 //! [`Scheduler::build`](dbs3_engine::Scheduler::build),
-//! [`Executor::execute`](dbs3_engine::Executor::execute) — repeated at every
+//! [`Runtime::submit`](dbs3_engine::Runtime::submit) — repeated at every
 //! call site. A [`Session`] owns the catalog and a [`Query`] chains the
 //! execution knobs, so running the paper's experiments under a different
 //! regime (thread count, consumption strategy, cache size, real threads vs.
 //! the simulated KSR1) changes one line instead of five.
 //!
-//! Queries run either blocking ([`Query::run`], one transient pool per
-//! query on the default backend) or concurrently against a persistent
-//! shared [`Runtime`] pool ([`Query::submit`], returning a
-//! [`QueryHandle`]). `run()` is unchanged for existing callers; on a pooled
-//! backend it is exactly `submit` + wait.
+//! Every real-thread query is a submission to a [`Runtime`]: [`Query::run`]
+//! submits to the session's own runtime and waits, [`Query::submit`]
+//! submits to a caller-owned runtime and returns a [`QueryHandle`].
 
 use crate::error::Result;
-use crate::exec::{Backend, ExecutionBackend, QueryHandle, QueryOutcome};
+use crate::exec::{self, Backend, QueryHandle, QueryOutcome};
 use dbs3_engine::{
-    ConsumptionStrategy, ExecutionSchedule, Executor, PreparedPlan, Runtime, Scheduler,
-    SchedulerOptions,
+    ConsumptionStrategy, ExecutionSchedule, PreparedPlan, Runtime, Scheduler, SchedulerOptions,
 };
 use dbs3_lera::{CostParameters, ExtendedPlan, Plan};
 use dbs3_storage::{
     Catalog, PartitionSpec, PartitionedRelation, WisconsinConfig, WisconsinGenerator,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An execution session: a catalog of partitioned relations plus the entry
-/// point for running queries against it on any [`ExecutionBackend`].
+/// point for running queries against it.
+///
+/// A session owns the worker pool its blocking [`Query::run`] calls use:
+/// a [`Runtime`] with one worker per available CPU, spawned on the first
+/// `run()` and shut down when the last clone of the session is dropped.
+/// Sessions that only [`submit`](Query::submit) to their own runtimes never
+/// spawn it.
 ///
 /// See the crate-level quick start for the full flow.
 #[derive(Debug, Clone, Default)]
 pub struct Session {
     catalog: Catalog,
+    runtime: OnceLock<Arc<Runtime>>,
 }
 
 impl Session {
@@ -44,7 +48,21 @@ impl Session {
 
     /// Wraps an already-populated catalog in a session.
     pub fn from_catalog(catalog: Catalog) -> Self {
-        Session { catalog }
+        Session {
+            catalog,
+            runtime: OnceLock::new(),
+        }
+    }
+
+    /// The session's runtime, spawned on first use.
+    fn runtime(&self) -> &Runtime {
+        self.runtime.get_or_init(|| {
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            // allow-panic: `workers` is at least 1, the only input
+            // `Runtime::new` rejects; thread spawn fails only on resource
+            // exhaustion.
+            Arc::new(Runtime::new(workers).expect("spawning the session runtime"))
+        })
     }
 
     /// The session's catalog.
@@ -96,7 +114,7 @@ impl Session {
     }
 
     /// Starts a query over a plan. The returned builder chains execution
-    /// knobs and runs on the threaded engine unless pointed elsewhere with
+    /// knobs and runs on real threads unless pointed elsewhere with
     /// [`Query::on`].
     pub fn query<'a>(&'a self, plan: &'a Plan) -> Query<'a> {
         Query {
@@ -118,8 +136,8 @@ impl Session {
     }
 }
 
-/// A chainable query: a plan, backend-neutral execution knobs, and the
-/// backend to run on.
+/// A chainable query: a plan, backend-neutral execution knobs, and where
+/// [`run`](Self::run) executes it.
 ///
 /// Knobs not set explicitly are decided by the four-step scheduler (thread
 /// count from estimated complexity, LPT for skewed triggered operations,
@@ -133,8 +151,12 @@ pub struct Query<'a> {
 }
 
 impl<'a> Query<'a> {
-    /// Fixes the total thread budget (the paper's x-axis). Zero is rejected
-    /// with a typed error when the query runs.
+    /// Fixes the total thread budget (the paper's x-axis) the schedule is
+    /// built for: it sizes each operation's pool share, queue cost
+    /// estimates and strategy picks. On real threads the width of the
+    /// runtime the query runs on sets the actual parallelism; to measure a
+    /// given width, [`submit`](Self::submit) to a `Runtime::new(n)`. Zero is
+    /// rejected with a typed error when the query runs.
     pub fn threads(mut self, total: usize) -> Self {
         self.options.total_threads = Some(total);
         self
@@ -226,26 +248,24 @@ impl<'a> Query<'a> {
         )?)
     }
 
-    /// Runs the query on the selected built-in backend, blocking until the
-    /// outcome is available. On [`Backend::Pooled`] this is exactly
-    /// [`Query::submit`] followed by [`QueryHandle::wait`].
+    /// Runs the query, blocking until the outcome is available. On
+    /// [`Backend::Threaded`] this is exactly [`Query::submit`] to the
+    /// session's runtime followed by [`QueryHandle::wait`].
     pub fn run(self) -> Result<QueryOutcome> {
-        let backend = self.backend.resolve();
-        backend.execute(self.session.catalog(), self.plan, &self.options)
+        match &self.backend {
+            Backend::Threaded => self.submit(self.session.runtime())?.wait(),
+            Backend::Simulated(config) => {
+                exec::simulate(self.session.catalog(), self.plan, &self.options, config)
+            }
+        }
     }
 
-    /// Runs the query on a caller-provided backend implementation.
-    pub fn run_on(&self, backend: &dyn ExecutionBackend) -> Result<QueryOutcome> {
-        backend.execute(self.session.catalog(), self.plan, &self.options)
-    }
-
-    /// Submits the query to a persistent shared [`Runtime`] pool and
-    /// returns immediately with a [`QueryHandle`]
-    /// (`wait`/`try_outcome`/`cancel`). Any number of queries may be in
-    /// flight on one runtime; workers schedule activations across all of
-    /// them. The query's schedule is built exactly as `run()` would build
-    /// it; the pool's width (fixed at [`Runtime::new`]) bounds the actual
-    /// parallelism.
+    /// Submits the query to a persistent [`Runtime`] pool and returns
+    /// immediately with a [`QueryHandle`] (`wait`/`try_outcome`/`cancel`).
+    /// Any number of queries may be in flight on one runtime; workers
+    /// schedule activations across all of them. The query's schedule is
+    /// built exactly as `run()` would build it; the pool's width (fixed at
+    /// [`Runtime::new`]) sets the actual parallelism.
     pub fn submit(&self, runtime: &Runtime) -> Result<QueryHandle> {
         let prepared = dbs3_engine::prepare(
             self.session.catalog(),
@@ -259,6 +279,8 @@ impl<'a> Query<'a> {
 
     /// Resolves the query once — plan expansion, scheduling and generation
     /// stamping — into a reusable [`PreparedQuery`], consuming the builder.
+    /// The prepared query runs on real threads whatever [`Query::on`]
+    /// selected.
     /// The work goes through the process-wide prepared-query cache, so
     /// preparing the same plan shape twice is itself ~free.
     pub fn prepare(self) -> Result<PreparedQuery> {
@@ -329,15 +351,14 @@ impl PreparedQuery {
         Ok(Arc::clone(&slot))
     }
 
-    /// Runs the prepared query on the threaded engine against `session`'s
-    /// catalog, blocking until the outcome is available.
+    /// Runs the prepared query on `session`'s runtime against its catalog,
+    /// blocking until the outcome is available: exactly
+    /// [`submit`](Self::submit) followed by [`QueryHandle::wait`].
     pub fn run(&self, session: &Session) -> Result<QueryOutcome> {
-        let prepared = self.current(session.catalog())?;
-        let outcome = Executor::new(session.catalog()).execute_prepared(&prepared)?;
-        Ok(QueryOutcome::from_execution(outcome))
+        self.submit(session, session.runtime())?.wait()
     }
 
-    /// Submits the prepared query to a persistent shared [`Runtime`] pool,
+    /// Submits the prepared query to a persistent [`Runtime`] pool,
     /// returning immediately with a [`QueryHandle`].
     pub fn submit(&self, session: &Session, runtime: &Runtime) -> Result<QueryHandle> {
         let prepared = self.current(session.catalog())?;
@@ -350,7 +371,6 @@ impl PreparedQuery {
 mod tests {
     use super::*;
     use crate::error::Error;
-    use crate::exec::SimBackend;
     use dbs3_engine::EngineError;
     use dbs3_lera::{plans, JoinAlgorithm};
 
@@ -467,18 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn run_on_accepts_custom_backend_values() {
-        let session = session();
-        let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::NestedLoop);
-        let outcome = session
-            .query(&plan)
-            .threads(3)
-            .run_on(&SimBackend::ksr1())
-            .unwrap();
-        assert_eq!(outcome.result_cardinality("Result"), Some(80));
-    }
-
-    #[test]
     fn prepared_query_reruns_and_reprepares_after_catalog_mutation() {
         let mut session = session();
         let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
@@ -533,7 +541,7 @@ mod tests {
         let stats = outcome.metrics.cache_stats().expect("threaded metrics");
         assert!(
             stats.index.hits + stats.index.misses > 0,
-            "join builds must consult the shared index cache"
+            "join builds must look up the relation's fragment indexes"
         );
     }
 

@@ -7,13 +7,32 @@
 //! KSR1: both backends replay the same extended plans with the same logical
 //! activation granularity, so swapping `Backend::Threaded` for
 //! `Backend::Simulated(..)` changes *when* work happens, never *what* work
-//! happens. The threaded engine physically moves tuples in `CacheSize`-sized
+//! happens. On real threads, the session's own runtime (`run()`) and a
+//! caller-owned one (`submit(&runtime)`) must agree the same way. The threaded engine physically moves tuples in `CacheSize`-sized
 //! transport batches, but counts one logical activation per batched tuple —
 //! so the equivalence must also hold across cache sizes and consumption
 //! strategies, which `batching_never_changes_logical_work` pins down.
 
 use dbs3::prelude::*;
 use dbs3_lera::OperatorKind;
+
+/// Where a query runs: the session's own runtime (`run()`), a caller-owned
+/// runtime (`submit(&runtime)`), or the simulated KSR1.
+#[derive(Clone, Copy)]
+enum Target<'r> {
+    Session,
+    Runtime(&'r Runtime),
+    Simulated,
+}
+
+fn run_at(query: Query<'_>, target: Target<'_>) -> QueryOutcome {
+    match target {
+        Target::Session => query.run(),
+        Target::Runtime(runtime) => query.submit(runtime).and_then(|handle| handle.wait()),
+        Target::Simulated => query.on(Backend::Simulated(SimConfig::ksr1())).run(),
+    }
+    .unwrap()
+}
 
 fn session(a_card: usize, b_card: usize, degree: usize, theta: f64) -> Session {
     let mut session = Session::new();
@@ -162,9 +181,9 @@ fn batching_never_changes_logical_work() {
 }
 
 /// Hash joins at every build-parallelism regime (sequential, 2-shard,
-/// 8-shard temporary index builds), across Threaded, Pooled and Simulated
-/// backends: cardinalities must be identical everywhere, and the
-/// Threaded/Pooled engines must also agree on per-operation logical
+/// 8-shard temporary index builds), on the session runtime, an explicit
+/// runtime and the simulator: cardinalities must be identical everywhere,
+/// and the two real-thread runs must also agree on per-operation logical
 /// activation counts — the partitioned build changes *when* index entries
 /// are written, never what a probe returns. (The simulator is excluded from
 /// the per-op comparison for hash joins only because it deliberately models
@@ -180,25 +199,20 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
     type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(40_000, 4_000, 4, 0.0);
-    let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in [
         plans::ideal_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
     ] {
         let mut reference: Option<Pinned> = None;
         for build_threads in [1usize, 2, 8] {
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
+            for target in [
+                Target::Session,
+                Target::Runtime(&runtime),
+                Target::Simulated,
             ] {
-                let outcome = session
-                    .query(&plan)
-                    .threads(4)
-                    .build_threads(build_threads)
-                    .on(backend)
-                    .run()
-                    .unwrap();
+                let query = session.query(&plan).threads(4).build_threads(build_threads);
+                let outcome = run_at(query, target);
                 let is_engine = outcome.metrics.backend_name() != "simulated";
                 let counts: Vec<Option<u64>> = plan
                     .nodes()
@@ -240,11 +254,11 @@ fn parallel_index_builds_are_invisible_across_all_backends() {
 /// what the query computes or how much logical work it reports. Every
 /// morsel size — splitting a fragment into dozens of pieces, an uneven
 /// divisor, the default, and "never split" — must produce identical
-/// cardinalities and identical per-operation logical activation counts
-/// across Threaded, Pooled and Simulated backends (only the lead morsel of
-/// a fragment carries logical weight, so counts stay pinned to the
-/// simulator's one-activation-per-fragment model; the simulated backend
-/// ignores the knob entirely).
+/// cardinalities and identical per-operation logical activation counts on
+/// the session runtime, an explicit runtime and the simulator (only the
+/// lead morsel of a fragment carries logical weight, so counts stay pinned
+/// to the simulator's one-activation-per-fragment model; the simulated
+/// backend ignores the knob entirely).
 ///
 /// Sizing is load-bearing: A partitions into 6_000-row fragments and
 /// Bprime into 600-row fragments, so morsel sizes 512 and 1_999 genuinely
@@ -258,7 +272,7 @@ fn morsel_granularity_is_invisible_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
     type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(24_000, 2_400, 4, 0.0);
-    let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for (plan, sim_counts_exact) in [
         (
             plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop),
@@ -275,18 +289,13 @@ fn morsel_granularity_is_invisible_across_all_backends() {
     ] {
         let mut reference: Option<Pinned> = None;
         for morsel_rows in [512usize, 1_999, 4_096, 1_000_000] {
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
+            for target in [
+                Target::Session,
+                Target::Runtime(&runtime),
+                Target::Simulated,
             ] {
-                let outcome = session
-                    .query(&plan)
-                    .threads(4)
-                    .morsel_rows(morsel_rows)
-                    .on(backend)
-                    .run()
-                    .unwrap();
+                let query = session.query(&plan).threads(4).morsel_rows(morsel_rows);
+                let outcome = run_at(query, target);
                 let is_engine = outcome.metrics.backend_name() != "simulated";
                 let counts: Vec<Option<u64>> = plan
                     .nodes()
@@ -323,20 +332,20 @@ fn morsel_granularity_is_invisible_across_all_backends() {
     assert_eq!(runtime.live_queries(), 0);
 }
 
-/// Prepared-query and shared-index caching must be *invisible* to results:
-/// the first (cold) execution populates the caches, every later (warm)
-/// execution of the same plan is served by them — and cardinalities plus
-/// per-operation logical activation counts must be bit-identical between
-/// the cold run and warm runs across Threaded, Pooled and Simulated
-/// backends. The cache-stats delta attributed to the warm threaded run
-/// proves the warm path actually hit the caches rather than accidentally
-/// rebuilding.
+/// Prepared-query and fragment-index caching must be *invisible* to
+/// results: the first (cold) execution populates the caches, every later
+/// (warm) execution of the same plan is served by them — and cardinalities
+/// plus per-operation logical activation counts must be bit-identical
+/// between the cold run and warm runs on the session runtime, an explicit
+/// runtime and the simulator. The warm real-thread runs' own index counters
+/// prove the warm path actually reused the indexes rather than
+/// accidentally rebuilding.
 #[test]
 fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
     /// Pinned reference: (cardinalities per store, per-op activation counts).
     type Pinned = (std::collections::BTreeMap<String, usize>, Vec<Option<u64>>);
     let session = session(8_000, 800, 8, 0.0);
-    let runtime = std::sync::Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in [
         plans::ideal_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
         plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash),
@@ -345,21 +354,21 @@ fn cached_setup_is_identical_to_cold_setup_across_all_backends() {
         // Round 0 is cold for this (fresh) session's generations; rounds
         // 1..3 repeat the identical query and must be served by the caches.
         for round in 0..3 {
-            for backend in [
-                Backend::Threaded,
-                Backend::Pooled(std::sync::Arc::clone(&runtime)),
-                Backend::Simulated(SimConfig::ksr1()),
+            for target in [
+                Target::Session,
+                Target::Runtime(&runtime),
+                Target::Simulated,
             ] {
-                let outcome = session.query(&plan).threads(4).on(backend).run().unwrap();
-                // The in-window cache signal of a warm run is the shared
-                // build-side index: operator binding consults it during
-                // execution, squarely inside the attribution window (the
-                // plan-cache hit happens in `prepare`, before submission).
+                let outcome = run_at(session.query(&plan).threads(4), target);
+                // The per-query cache signal of a warm run is its fragment
+                // index lookups: the join operators make them during
+                // execution (the plan-cache hit happens in `prepare`, before
+                // the query exists).
                 if round > 0 {
                     if let Some(stats) = outcome.metrics.cache_stats() {
                         assert!(
                             stats.index.hits >= 1,
-                            "warm round {round} of {} missed the shared-index cache: {stats:?}",
+                            "warm round {round} of {} rebuilt its fragment indexes: {stats:?}",
                             plan.name()
                         );
                     }
@@ -450,6 +459,77 @@ fn catalog_mutation_invalidates_cached_plans_and_indexes() {
     assert!(stats.index.hits >= 1, "re-warmed run must hit: {stats:?}");
 }
 
+/// Two sessions register different data under the same relation names and
+/// take turns running the same warm hash join. Each relation owns its
+/// fragment indexes, so neither session can evict or see the other's: every
+/// warm query reuses its own indexes, and every result matches its own
+/// session's reference join.
+#[test]
+fn sessions_sharing_relation_names_keep_their_own_indexes() {
+    const ROUNDS: usize = 4;
+    let sessions = [session(2_000, 200, 8, 0.0), session(3_000, 300, 8, 0.0)];
+    let plan = plans::assoc_join("Bprime", "A", "unique1", JoinAlgorithm::Hash);
+    let expected: Vec<usize> = sessions
+        .iter()
+        .map(|s| {
+            let a = s.catalog().get("A").unwrap().reassemble();
+            let b = s.catalog().get("Bprime").unwrap().reassemble();
+            b.reference_join(&a, "unique1", "unique1").unwrap().len()
+        })
+        .collect();
+    assert_ne!(expected[0], expected[1], "the sessions hold different data");
+
+    // Strict alternation: in phase p of every round only thread p runs, and
+    // both threads meet at the barrier after each phase. Nothing asserts
+    // inside the threads, so a failure cannot strand the other at the
+    // barrier.
+    let barrier = std::sync::Barrier::new(2);
+    let runs: Vec<Vec<(Option<usize>, Option<CacheStats>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .iter()
+            .enumerate()
+            .map(|(me, session)| {
+                let (barrier, plan) = (&barrier, &plan);
+                scope.spawn(move || {
+                    let mut runs = Vec::new();
+                    for _ in 0..ROUNDS {
+                        for phase in 0..2 {
+                            if phase == me {
+                                let outcome = session.query(plan).threads(2).run().ok();
+                                runs.push((
+                                    outcome
+                                        .as_ref()
+                                        .and_then(|o| o.result_cardinality("Result")),
+                                    outcome.and_then(|o| o.metrics.cache_stats()),
+                                ));
+                            }
+                            barrier.wait();
+                        }
+                    }
+                    runs
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (me, runs) in runs.iter().enumerate() {
+        for (round, (cardinality, stats)) in runs.iter().enumerate() {
+            assert_eq!(
+                *cardinality,
+                Some(expected[me]),
+                "session {me} round {round} returned another session's answer"
+            );
+            let stats = stats.expect("threaded metrics");
+            if round > 0 {
+                assert!(
+                    stats.index.hits >= 1,
+                    "session {me} warm round {round} lost its indexes: {stats:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn selection_is_backend_equivalent_on_cardinality() {
     let session = session(2_000, 200, 10, 0.0);
@@ -469,8 +549,9 @@ fn selection_is_backend_equivalent_on_cardinality() {
 fn shared_metric_accessors_are_populated_on_both_backends() {
     let session = session(2_000, 200, 16, 0.0);
     let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
-    for backend in [Backend::Threaded, Backend::Simulated(SimConfig::ksr1())] {
-        let outcome = session.query(&plan).threads(4).on(backend).run().unwrap();
+    let runtime = Runtime::new(4).unwrap();
+    for target in [Target::Runtime(&runtime), Target::Simulated] {
+        let outcome = run_at(session.query(&plan).threads(4), target);
         assert!(outcome.elapsed() > std::time::Duration::ZERO);
         assert!(outcome.metrics.total_activations() > 0);
         assert!(outcome.metrics.worst_imbalance() >= 1.0);

@@ -49,7 +49,12 @@ fn run(
             .with_strategy(strategy),
     )
     .unwrap();
-    let outcome = Executor::new(catalog).execute(plan, &schedule).unwrap();
+    let outcome = Runtime::new(threads)
+        .unwrap()
+        .submit(catalog, plan, &schedule)
+        .unwrap()
+        .wait()
+        .unwrap();
     let mut rows: Vec<(i64, i64, i64, i64)> = outcome.results["Result"]
         .iter()
         .map(|t| {
@@ -141,7 +146,12 @@ proptest! {
             &SchedulerOptions::default().with_total_threads(threads),
         )
         .unwrap();
-        let outcome = Executor::new(&catalog).execute(&plan, &schedule).unwrap();
+        let outcome = Runtime::new(threads)
+            .unwrap()
+            .submit(&catalog, &plan, &schedule)
+            .unwrap()
+            .wait()
+            .unwrap();
 
         let mut got: Vec<i64> = outcome.results["Result"]
             .iter()

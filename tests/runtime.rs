@@ -11,15 +11,15 @@
 //!   pool reusable;
 //! * dropping the runtime with queries in flight shuts down cleanly — no
 //!   hang, every waiter gets an outcome or a typed shutdown error;
-//! * the `Backend::Pooled` selector is equivalent to `Threaded` and
-//!   `Simulated` on everything that is not a clock;
+//! * a query submitted to a caller-owned runtime is equivalent to `run()`
+//!   on the session's runtime and to the simulator on everything that is
+//!   not a clock;
 //! * `discard_results()` keeps cardinalities and metrics exact while
 //!   materialising nothing.
 
 use dbs3::prelude::*;
 use dbs3_engine::EngineError;
 use dbs3_lera::OperatorKind;
-use std::sync::Arc;
 
 fn session(a_card: usize, b_card: usize, degree: usize) -> Session {
     let mut session = Session::new();
@@ -44,7 +44,7 @@ fn plan_mix() -> Vec<Plan> {
     ]
 }
 
-/// Acceptance criterion: a single `Runtime` executes ≥ 16 concurrently
+/// The contract: a single `Runtime` executes ≥ 16 concurrently
 /// submitted queries with per-query cardinalities (and logical activation
 /// counts) identical to sequential `run()`.
 #[test]
@@ -53,7 +53,7 @@ fn sixteen_concurrent_queries_match_sequential_run() {
     let mix = plan_mix();
 
     // Sequential reference: cardinalities and per-op activation counts of
-    // each plan shape under the blocking executor.
+    // each plan shape under blocking `run()`.
     let reference: Vec<(usize, Vec<Option<u64>>)> = mix
         .iter()
         .map(|plan| {
@@ -154,16 +154,17 @@ fn dropping_the_runtime_with_inflight_queries_shuts_down_cleanly() {
     }
 }
 
-/// The pooled backend agrees with the threaded and simulated backends on
-/// cardinalities and per-operation logical activation counts — the same
-/// contract `tests/backend_equivalence.rs` pins for the other two. (As in
+/// A query submitted to a caller-owned runtime agrees with `run()` on the
+/// session's runtime and with the simulator on cardinalities and
+/// per-operation logical activation counts — the same contract
+/// `tests/backend_equivalence.rs` pins across backends. (As in
 /// that suite, the activation comparison with the simulator uses the
 /// nested-loop shapes: the simulator additionally models per-instance
 /// hash-table *build* activations for hash joins.)
 #[test]
-fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
+fn explicit_runtime_is_equivalent_to_session_run_and_simulated() {
     let session = session(2_000, 200, 16);
-    let runtime = Arc::new(Runtime::new(4).unwrap());
+    let runtime = Runtime::new(4).unwrap();
     for plan in plan_mix() {
         let is_nested_loop = plan.nodes().iter().any(|n| {
             matches!(
@@ -175,11 +176,12 @@ fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
             )
         });
         let threaded = session.query(&plan).threads(4).run().unwrap();
-        let pooled = session
+        let submitted = session
             .query(&plan)
             .threads(4)
-            .on(Backend::Pooled(Arc::clone(&runtime)))
-            .run()
+            .submit(&runtime)
+            .unwrap()
+            .wait()
             .unwrap();
         let simulated = session
             .query(&plan)
@@ -187,22 +189,22 @@ fn pooled_backend_is_equivalent_to_threaded_and_simulated() {
             .on(Backend::Simulated(SimConfig::ksr1()))
             .run()
             .unwrap();
-        assert_eq!(threaded.cardinalities, pooled.cardinalities);
-        assert_eq!(pooled.cardinalities, simulated.cardinalities);
+        assert_eq!(threaded.cardinalities, submitted.cardinalities);
+        assert_eq!(submitted.cardinalities, simulated.cardinalities);
         for node in plan.nodes() {
             if matches!(node.kind, OperatorKind::Store { .. }) {
                 continue;
             }
             assert_eq!(
                 threaded.metrics.activations(node.id),
-                pooled.metrics.activations(node.id),
-                "pooled activation counts diverge at {} of {}",
+                submitted.metrics.activations(node.id),
+                "submitted activation counts diverge at {} of {}",
                 node.name,
                 plan.name()
             );
             if is_nested_loop {
                 assert_eq!(
-                    pooled.metrics.activations(node.id),
+                    submitted.metrics.activations(node.id),
                     simulated.metrics.activations(node.id),
                     "simulated activation counts diverge at {} of {}",
                     node.name,
