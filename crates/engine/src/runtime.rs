@@ -1700,13 +1700,29 @@ mod tests {
     };
 
     fn build_catalog(a_card: usize, b_card: usize, degree: usize) -> (Catalog, Relation, Relation) {
+        build_skewed_catalog(a_card, b_card, degree, 0.0)
+    }
+
+    /// Like `build_catalog`, with `A` partitioned under Zipf `skew`. The
+    /// reference relations are reassembled from the partitions, since
+    /// skewed partitioning re-keys tuples.
+    fn build_skewed_catalog(
+        a_card: usize,
+        b_card: usize,
+        degree: usize,
+        skew: f64,
+    ) -> (Catalog, Relation, Relation) {
         let gen = WisconsinGenerator::new();
         let a = gen.generate(&WisconsinConfig::narrow("A", a_card)).unwrap();
         let b = gen
             .generate(&WisconsinConfig::narrow("Bprime", b_card))
             .unwrap();
         let spec = PartitionSpec::on("unique1", degree, 4);
-        let a_part = PartitionedRelation::from_relation(&a, spec.clone()).unwrap();
+        let a_part = if skew > 0.0 {
+            PartitionedRelation::from_relation_with_skew(&a, spec.clone(), skew).unwrap()
+        } else {
+            PartitionedRelation::from_relation(&a, spec.clone()).unwrap()
+        };
         let a_ref = a_part.reassemble();
         let b_part = PartitionedRelation::from_relation(&b, spec).unwrap();
         let b_ref = b_part.reassemble();
@@ -1776,6 +1792,73 @@ mod tests {
         let expected = a_ref.reference_select(|t| t.value(4).as_int().unwrap() == 0);
         assert_eq!(outcome.results["Selected"].len(), expected.len());
         assert!(outcome.result().is_some());
+    }
+
+    #[test]
+    fn ideal_join_produces_reference_result() {
+        let (cat, a_ref, b_ref) = build_catalog(800, 80, 10);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 4);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+        assert_eq!(outcome.cardinalities["Result"], expected.len());
+        assert!(outcome.metrics.total_activations() > 0);
+    }
+
+    #[test]
+    fn filter_join_respects_predicate() {
+        let (cat, a_ref, b_ref) = build_catalog(500, 500, 6);
+        let plan = plans::filter_join(
+            "A",
+            dbs3_lera::Predicate::range("unique1", 0, 100),
+            "Bprime",
+            "unique1",
+            JoinAlgorithm::NestedLoop,
+        );
+        let schedule = schedule_for(&plan, &cat, 3);
+        let outcome = run(&cat, &plan, &schedule);
+        let filtered = a_ref.reference_select(|t| {
+            let v = t.value(0).as_int().unwrap();
+            (0..100).contains(&v)
+        });
+        let filtered_rel = Relation::new("Af", a_ref.schema().clone(), filtered).unwrap();
+        let expected = filtered_rel
+            .reference_join(&b_ref, "unique1", "unique1")
+            .unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+    }
+
+    #[test]
+    fn skewed_ideal_join_with_lpt_matches_reference() {
+        let (cat, a_ref, b_ref) = build_skewed_catalog(1000, 100, 20, 1.0);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::NestedLoop);
+        let schedule = schedule_for(&plan, &cat, 5).with_strategy(ConsumptionStrategy::Lpt);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+    }
+
+    #[test]
+    fn more_threads_than_instances_still_correct() {
+        let (cat, a_ref, b_ref) = build_catalog(200, 20, 3);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 12);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.results["Result"].len(), expected.len());
+    }
+
+    #[test]
+    fn discarded_results_report_cardinalities_only() {
+        let (cat, a_ref, b_ref) = build_catalog(600, 60, 8);
+        let plan = plans::ideal_join("A", "Bprime", "unique1", JoinAlgorithm::Hash);
+        let schedule = schedule_for(&plan, &cat, 4).with_discard_results(true);
+        let outcome = run(&cat, &plan, &schedule);
+        let expected = a_ref.reference_join(&b_ref, "unique1", "unique1").unwrap();
+        assert_eq!(outcome.cardinalities["Result"], expected.len());
+        assert!(outcome.results["Result"].is_empty());
+        assert!(outcome.metrics.total_activations() > 0);
     }
 
     #[test]
